@@ -13,6 +13,8 @@ from .embedding import (
     cnd_check,
     distance_matrix,
     growth_table,
+    hamming_distances,
+    sample_walls,
     validate_distance_matrix,
     validate_sample,
     wall_coordinates,
@@ -44,8 +46,6 @@ from .walls import (
     Side,
     TreeHalfSpace,
     TreeWall,
-    TreeWallStructure,
-    WallStructure,
     separating_tree_walls,
     side_containing,
     translate_half_space,
@@ -73,8 +73,6 @@ __all__ = [
     "SublevelReport",
     "TreeHalfSpace",
     "TreeWall",
-    "TreeWallStructure",
-    "WallStructure",
     "WreathElement",
     "WreathHalfSpace",
     "WreathWall",
@@ -85,6 +83,7 @@ __all__ = [
     "free_ball",
     "free_reduce",
     "growth_table",
+    "hamming_distances",
     "load_lamp_table",
     "load_sample_file",
     "parse_config",
@@ -93,6 +92,7 @@ __all__ = [
     "parse_sample_text",
     "parse_word",
     "predicted_ball_size",
+    "sample_walls",
     "separating_tree_walls",
     "side_containing",
     "translate_half_space",

@@ -19,14 +19,16 @@ from pathlib import Path
 import numpy as np
 
 from .embedding import (
+    check_tolerance,
     cnd_check,
     distance_matrix,
     growth_table,
-    validate_sample,
+    hamming_distances,
+    sample_walls,
     wall_coordinates,
 )
 from .grammar import ParseError, load_lamp_table, load_sample_file, parse_element
-from .groups import DEFAULT_CAP, CapExceededError, LampGroup, WreathElement
+from .groups import DEFAULT_CAP, CapExceededError, LampGroup
 from .wreath_walls import SublevelReport, WreathHalfSpace, WreathWall, WreathWallSpace
 
 
@@ -116,8 +118,7 @@ def _session(args: argparse.Namespace) -> SessionConfig:
         lamps = LampGroup.cyclic(args.lamp_order if args.lamp_order is not None else 2)
     if args.cap < 1:
         raise ValueError(f"cap must be >= 1, got {args.cap}")
-    if args.tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {args.tol}")
+    check_tolerance(args.tol)
     return SessionConfig(rank=args.rank, lamps=lamps, cap=args.cap, fmt=args.fmt, tol=args.tol)
 
 
@@ -139,13 +140,6 @@ def _half_space_dict(half: WreathHalfSpace) -> dict:
 
 def _wall_dict(wall: WreathWall) -> dict:
     return _half_space_dict(wall.positive)
-
-
-def _oracle_radius(first: WreathElement, second: WreathElement) -> int:
-    lengths = [len(first.position), len(second.position)]
-    lengths.extend(len(p) for p in first.lamps.support)
-    lengths.extend(len(p) for p in second.lamps.support)
-    return max(lengths) + 1
 
 
 def _cmd_mul(cfg: SessionConfig, args: argparse.Namespace) -> int:
@@ -181,8 +175,11 @@ def _cmd_dist(cfg: SessionConfig, args: argparse.Namespace) -> int:
     distance = len(forward) + len(reverse)
     oracle_ok = None
     if args.oracle:
-        brute = space.brute_force_separating(first, second, _oracle_radius(first, second))
-        oracle_ok = set(brute) == set(forward) | set(reverse)
+        brute = set(
+            space.brute_force_separating(first, second, space.oracle_radius(first, second))
+        )
+        fast = set(forward) | set(reverse)
+        oracle_ok = brute == fast
     if cfg.fmt == "json":
         payload = {"distance": distance}
         if oracle_ok is not None:
@@ -192,6 +189,9 @@ def _cmd_dist(cfg: SessionConfig, args: argparse.Namespace) -> int:
         print(distance)
     if oracle_ok is False:
         print("oracle mismatch: brute-force walls differ from the fast enumeration", file=sys.stderr)
+        for label, only in (("brute force", brute - fast), ("fast enumeration", fast - brute)):
+            for wall in sorted(only, key=WreathWall.sort_key):
+                print(f"  only in {label}: {wall}", file=sys.stderr)
         return 1
     return 0
 
@@ -285,9 +285,8 @@ def _cmd_cnd(cfg: SessionConfig, args: argparse.Namespace) -> int:
     _require_text_or_json(cfg)
     space = cfg.space()
     elements = load_sample_file(args.sample, cfg.lamps, cfg.rank)
-    validate_sample(elements)
     matrix = distance_matrix(space, elements)
-    walls, _ = wall_coordinates(space, elements)
+    walls = sample_walls(space, elements)
     report = cnd_check(matrix, cfg.tol)
     payload = {
         "pass": report.passed,
@@ -315,7 +314,6 @@ def _cmd_embed(cfg: SessionConfig, args: argparse.Namespace) -> int:
     _require_text_or_json(cfg)
     space = cfg.space()
     elements = load_sample_file(args.sample, cfg.lamps, cfg.rank)
-    validate_sample(elements)
     matrix = distance_matrix(space, elements)
     walls, coordinates = wall_coordinates(space, elements)
     out = args.out
@@ -324,11 +322,7 @@ def _cmd_embed(cfg: SessionConfig, args: argparse.Namespace) -> int:
     (out / "walls.txt").write_text("".join(f"{w}\n" for w in walls))
     _write_int_csv(out / "distances.csv", matrix)
     _write_int_csv(out / "coordinates.csv", coordinates)
-    hamming = np.zeros_like(matrix)
-    for i in range(len(elements)):
-        for j in range(len(elements)):
-            hamming[i, j] = int(np.sum(coordinates[i] != coordinates[j]))
-    isometry_ok = bool(np.array_equal(hamming, matrix))
+    isometry_ok = bool(np.array_equal(hamming_distances(coordinates), matrix))
     payload = {
         "dimension": len(elements),
         "wall_count": len(walls),

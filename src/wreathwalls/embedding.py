@@ -12,6 +12,7 @@ wall distance grows along word-metric spheres of the wreath product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,29 +62,44 @@ def validate_distance_matrix(matrix: np.ndarray) -> None:
             raise ValueError(f"triangle inequality fails through index {k}")
 
 
-def wall_coordinates(
-    space: WreathWallSpace, elements: list[WreathElement]
-) -> tuple[list[WreathWall], np.ndarray]:
-    """0/1 wall coordinates realizing the wall distance as Hamming distance.
-
-    Collects every wall separating some pair of sample elements (canonical
-    order) and marks membership of each element in each wall's positive
-    half. Rows of the returned matrix differ in exactly ``wall_distance``
-    coordinates: walls separating the pair flip, all others agree.
-    """
-    validate_sample(elements)
+def sample_walls(space: WreathWallSpace, elements: list[WreathElement]) -> list[WreathWall]:
+    """Every wall separating some pair of sample elements, in canonical order."""
     walls: set[WreathWall] = set()
     for i in range(len(elements)):
         for j in range(i + 1, len(elements)):
             walls.update(space.directed_separating_walls(elements[i], elements[j]))
             walls.update(space.directed_separating_walls(elements[j], elements[i]))
-    ordered = sorted(walls, key=WreathWall.sort_key)
+    return sorted(walls, key=WreathWall.sort_key)
+
+
+def wall_coordinates(
+    space: WreathWallSpace, elements: list[WreathElement]
+) -> tuple[list[WreathWall], np.ndarray]:
+    """0/1 wall coordinates realizing the wall distance as Hamming distance.
+
+    Marks membership of each element in the positive half of each of the
+    :func:`sample_walls`. Rows of the returned matrix differ in exactly
+    ``wall_distance`` coordinates: walls separating the pair flip, all
+    others agree.
+    """
+    validate_sample(elements)
+    ordered = sample_walls(space, elements)
     matrix = np.zeros((len(elements), len(ordered)), dtype=np.int64)
     for i, element in enumerate(elements):
         for k, wall in enumerate(ordered):
             if wall.positive.contains(element):
                 matrix[i, k] = 1
     return ordered, matrix
+
+
+def hamming_distances(coordinates: np.ndarray) -> np.ndarray:
+    """Pairwise Hamming distances of 0/1 rows, exact in integers.
+
+    Uses |x| + |y| - 2<x, y>, so the work is one n x n Gram product rather
+    than an n x n x walls comparison.
+    """
+    ones = coordinates.sum(axis=1)
+    return ones[:, None] + ones[None, :] - 2 * (coordinates @ coordinates.T)
 
 
 @dataclass(frozen=True)
@@ -96,6 +112,12 @@ class CndReport:
     tolerance: float
 
 
+def check_tolerance(tol: float) -> None:
+    """Reject an eigenvalue tolerance that is not finite and positive (NaN included)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
+
+
 def cnd_check(matrix: np.ndarray, tol: float = 1e-9) -> CndReport:
     """Test that a symmetric kernel is conditionally negative definite.
 
@@ -105,8 +127,7 @@ def cnd_check(matrix: np.ndarray, tol: float = 1e-9) -> CndReport:
     the matrix max-norm, so integer kernels of moderate size are judged
     essentially exactly.
     """
-    if tol <= 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    check_tolerance(tol)
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"kernel matrix must be square, got shape {matrix.shape}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .groups import LampConfig, LampGroup, MAX_RANK, ReducedWord, WreathElement
+from .groups import LampConfig, LampGroup, ReducedWord, WreathElement, check_rank
 
 
 class ParseError(ValueError):
@@ -62,7 +62,7 @@ def _expect(text: str, i: int, char: str) -> int:
 
 def parse_word(text: str, rank: int) -> ReducedWord:
     """Parse a whole string as a word literal."""
-    _check_rank(rank)
+    check_rank(rank)
     word, i = _scan_word(text, 0, rank)
     if i != len(text):
         raise ParseError(f"unexpected trailing {text[i]!r}", i)
@@ -107,7 +107,7 @@ def _scan_config(
 
 def parse_config(text: str, lamps: LampGroup, rank: int) -> LampConfig:
     """Parse a whole string as a configuration literal."""
-    _check_rank(rank)
+    check_rank(rank)
     config, i = _scan_config(text, 0, lamps, rank)
     if i != len(text):
         raise ParseError(f"unexpected trailing {text[i]!r}", i)
@@ -116,7 +116,7 @@ def parse_config(text: str, lamps: LampGroup, rank: int) -> LampConfig:
 
 def parse_element(text: str, lamps: LampGroup, rank: int) -> WreathElement:
     """Parse a wreath element literal ``config|word``."""
-    _check_rank(rank)
+    check_rank(rank)
     if not text:
         raise ParseError("empty element literal", 0)
     config, i = _scan_config(text, 0, lamps, rank)
@@ -125,11 +125,6 @@ def parse_element(text: str, lamps: LampGroup, rank: int) -> WreathElement:
     if i != len(text):
         raise ParseError(f"unexpected trailing {text[i]!r}", i)
     return WreathElement(config, position)
-
-
-def _check_rank(rank: int) -> None:
-    if not 1 <= rank <= MAX_RANK:
-        raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
 
 
 # -- sample files -----------------------------------------------------------

@@ -19,7 +19,6 @@ function of its inputs, so values can be shared freely across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_RANK = 26
@@ -35,6 +34,12 @@ class CapExceededError(ValueError):
         )
         self.predicted = predicted
         self.cap = cap
+
+
+def check_rank(rank: int) -> None:
+    """Reject a free-group rank outside 1..MAX_RANK (one letter pair per rank)."""
+    if not 1 <= rank <= MAX_RANK:
+        raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
 
 
 # ---------------------------------------------------------------------------
@@ -83,8 +88,7 @@ class ReducedWord:
     rank: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.rank <= MAX_RANK:
-            raise ValueError(f"rank must be in 1..{MAX_RANK}, got {self.rank}")
+        check_rank(self.rank)
         previous = 0
         for letter in self.letters:
             if not 1 <= abs(letter) <= self.rank:
@@ -156,8 +160,15 @@ def predicted_ball_size(rank: int, radius: int) -> int:
     return 1 + 2 * rank * (q**radius - 1) // (q - 1)
 
 
-@lru_cache(maxsize=None)
-def _ball_words(rank: int, radius: int) -> tuple[ReducedWord, ...]:
+def free_ball(rank: int, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWord]:
+    """All reduced words of length <= radius, in shortlex order.
+
+    Refuses with :class:`CapExceededError` when the exact predicted size
+    exceeds ``cap``; the ball grows like (2*rank-1)**radius.
+    """
+    predicted = predicted_ball_size(rank, radius)
+    if predicted > cap:
+        raise CapExceededError(predicted, cap, f"ball of radius {radius} in F_{rank}")
     alphabet = sorted(
         [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)],
         key=letter_order,
@@ -173,19 +184,7 @@ def _ball_words(rank: int, radius: int) -> tuple[ReducedWord, ...]:
                     next_level.append(letters + (letter,))
         words.extend(ReducedWord(letters, rank) for letters in next_level)
         level = next_level
-    return tuple(words)
-
-
-def free_ball(rank: int, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWord]:
-    """All reduced words of length <= radius, in shortlex order.
-
-    Refuses with :class:`CapExceededError` when the exact predicted size
-    exceeds ``cap``; the ball grows like (2*rank-1)**radius.
-    """
-    predicted = predicted_ball_size(rank, radius)
-    if predicted > cap:
-        raise CapExceededError(predicted, cap, f"ball of radius {radius} in F_{rank}")
-    return list(_ball_words(rank, radius))
+    return words
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +456,3 @@ class WreathElement:
 
     def __repr__(self) -> str:
         return f"WreathElement({str(self)!r}, rank={self.rank})"
-
-
-def wreath_identity(lamps: LampGroup, rank: int) -> WreathElement:
-    return WreathElement.identity(lamps, rank)

@@ -1,4 +1,4 @@
-"""Cayley-tree walls on free groups, plus the abstract wall-structure contract.
+"""Cayley-tree walls on free groups: the base wall family of the wreath construction.
 
 A wall on a set is a partition into two half-spaces. The concrete walls used
 here are the edges of the Cayley tree of F_n: cutting the edge between a
@@ -9,11 +9,10 @@ the deep endpoint, and the resulting wall distance is the word metric.
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from enum import Enum
 
-from .groups import DEFAULT_CAP, ReducedWord, free_ball
+from .groups import ReducedWord
 
 
 class Side(Enum):
@@ -119,68 +118,3 @@ def translate_half_space(g: ReducedWord, half: TreeHalfSpace) -> TreeHalfSpace:
     side_of_image = Side.CONE if cone_holds_image else Side.COCONE
     side = side_of_image if half.side is Side.CONE else side_of_image.flipped
     return TreeHalfSpace(new_wall, side)
-
-
-class WallStructure(ABC):
-    """Left-invariant wall structure on a group, as the wreath construction uses it.
-
-    Implementations supply a proper wall family on their base group: every
-    pair of elements is separated by finitely many walls, and the group acts
-    on its own half-spaces. Half-space objects must answer ``contains`` and
-    ``complement`` and hash by canonical identity.
-
-    The shipped family (tree edges of F_n) assigns distinct walls to distinct
-    edges. An implementation whose wall family repeats a partition must
-    return the repeats from :meth:`separating_walls` so they are counted
-    with multiplicity in the wall distance.
-    """
-
-    @abstractmethod
-    def identity_element(self) -> ReducedWord:
-        """The base point the metric balls are centered on."""
-
-    @abstractmethod
-    def metric_ball(self, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWord]:
-        """All elements at wall distance <= radius from the identity."""
-
-    @abstractmethod
-    def separating_walls(self, x: ReducedWord, y: ReducedWord) -> tuple[TreeWall, ...]:
-        """The finitely many walls with x and y on opposite sides."""
-
-    @abstractmethod
-    def side_containing(self, wall: TreeWall, x: ReducedWord) -> TreeHalfSpace:
-        """The half-space of ``wall`` containing x."""
-
-    @abstractmethod
-    def translate(self, g: ReducedWord, half: TreeHalfSpace) -> TreeHalfSpace:
-        """The canonical form of the half-space g * half."""
-
-    def wall_distance(self, x: ReducedWord, y: ReducedWord) -> int:
-        return len(self.separating_walls(x, y))
-
-
-class TreeWallStructure(WallStructure):
-    """The Cayley-tree wall structure on F_rank; wall distance = word metric."""
-
-    def __init__(self, rank: int):
-        if rank < 1:
-            raise ValueError(f"rank must be >= 1, got {rank}")
-        self.rank = rank
-
-    def identity_element(self) -> ReducedWord:
-        return ReducedWord.identity(self.rank)
-
-    def metric_ball(self, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWord]:
-        return free_ball(self.rank, radius, cap)
-
-    def separating_walls(self, x: ReducedWord, y: ReducedWord) -> tuple[TreeWall, ...]:
-        return separating_tree_walls(x, y)
-
-    def side_containing(self, wall: TreeWall, x: ReducedWord) -> TreeHalfSpace:
-        return side_containing(wall, x)
-
-    def translate(self, g: ReducedWord, half: TreeHalfSpace) -> TreeHalfSpace:
-        return translate_half_space(g, half)
-
-    def __repr__(self) -> str:
-        return f"TreeWallStructure(rank={self.rank})"

@@ -25,8 +25,17 @@ from .groups import (
     LampGroup,
     ReducedWord,
     WreathElement,
+    check_rank,
+    free_ball,
 )
-from .walls import Side, TreeHalfSpace, TreeWall, TreeWallStructure, WallStructure
+from .walls import (
+    Side,
+    TreeHalfSpace,
+    TreeWall,
+    separating_tree_walls,
+    side_containing,
+    translate_half_space,
+)
 
 
 @dataclass(frozen=True)
@@ -110,23 +119,17 @@ class SublevelReport:
 
 
 class WreathWallSpace:
-    """Walls on H wr F_n induced by a proper wall structure on F_n.
+    """Walls on H wr F_n induced by the Cayley-tree walls of F_n.
 
-    All methods are pure; instances hold only the lamp group, the base wall
-    structure, and an enumeration cap, and are safe to share.
+    All methods are pure; instances hold only the lamp group, the rank, and
+    an enumeration cap, and are safe to share.
     """
 
-    def __init__(
-        self,
-        lamps: LampGroup,
-        rank: int = 2,
-        base: WallStructure | None = None,
-        cap: int = DEFAULT_CAP,
-    ):
+    def __init__(self, lamps: LampGroup, rank: int = 2, cap: int = DEFAULT_CAP):
+        check_rank(rank)
         if cap < 1:
             raise ValueError(f"cap must be >= 1, got {cap}")
         self.lamps = lamps
-        self.base = base if base is not None else TreeWallStructure(rank)
         self.rank = rank
         self.cap = cap
 
@@ -158,13 +161,13 @@ class WreathWallSpace:
         targets.update(disagreement.support)
         base_walls: set[TreeWall] = set()
         for target in targets:
-            base_walls.update(self.base.separating_walls(inside.position, target))
+            base_walls.update(separating_tree_walls(inside.position, target))
         walls = [self._wall_through(wall, inside) for wall in base_walls]
         walls.sort(key=WreathWall.sort_key)
         return tuple(walls)
 
     def _wall_through(self, base_wall: TreeWall, element: WreathElement) -> WreathWall:
-        base_side = self.base.side_containing(base_wall, element.position)
+        base_side = side_containing(base_wall, element.position)
         decoration = element.lamps.restrict(lambda p: not base_side.contains(p))
         return WreathWall(WreathHalfSpace(base_side, decoration))
 
@@ -189,7 +192,7 @@ class WreathWallSpace:
         the result contains element*x exactly when ``half`` contains x.
         """
         self._check_element(element)
-        moved_base = self.base.translate(element.position, half.base)
+        moved_base = translate_half_space(element.position, half.base)
         shifted_decoration = half.decoration.shifted(element.position)
         own_outside = element.lamps.restrict(lambda p: not moved_base.contains(p))
         return WreathHalfSpace(moved_base, own_outside.pointwise_mul(shifted_decoration))
@@ -198,6 +201,17 @@ class WreathWallSpace:
         return WreathWall(self.translate(element, wall.positive))
 
     # -- exhaustive oracle ----------------------------------------------------
+
+    def oracle_radius(self, a: WreathElement, b: WreathElement) -> int:
+        """Smallest radius :meth:`brute_force_separating` accepts for a and b.
+
+        One more than the longest word occurring as a position or lamp site
+        of either element.
+        """
+        occurring = [len(a.position), len(b.position)]
+        occurring.extend(len(p) for p in a.lamps.support)
+        occurring.extend(len(p) for p in b.lamps.support)
+        return max(occurring) + 1
 
     def brute_force_separating(
         self,
@@ -221,15 +235,12 @@ class WreathWallSpace:
         """
         self._check_element(a)
         self._check_element(b)
-        occurring = [len(a.position), len(b.position)]
-        occurring.extend(len(p) for p in a.lamps.support)
-        occurring.extend(len(p) for p in b.lamps.support)
-        required = max(occurring) + 1
+        required = self.oracle_radius(a, b)
         if radius < required:
             raise ValueError(
                 f"oracle radius {radius} too small: need >= {required} to confine all walls"
             )
-        ball = self.base.metric_ball(radius, self.cap)
+        ball = free_ball(self.rank, radius, self.cap)
         found: set[WreathWall] = set()
         for deep in ball:
             if deep.is_identity:
@@ -269,7 +280,7 @@ class WreathWallSpace:
 
     def box_size(self, radius: int) -> int:
         """Exact count of elements with position and lamp support in the radius ball."""
-        ball = len(self.base.metric_ball(radius, self.cap))
+        ball = len(free_ball(self.rank, radius, self.cap))
         return self.lamps.order**ball * ball
 
     def enumerate_box(self, radius: int) -> Iterator[WreathElement]:
@@ -278,7 +289,7 @@ class WreathWallSpace:
         Deterministic order: positions shortlex, lamp values in table order.
         Refuses when the exact box size exceeds the cap.
         """
-        ball = self.base.metric_ball(radius, self.cap)
+        ball = free_ball(self.rank, radius, self.cap)
         predicted = self.lamps.order ** len(ball) * len(ball)
         if predicted > self.cap:
             raise CapExceededError(predicted, self.cap, f"box of radius {radius}")
@@ -305,7 +316,7 @@ class WreathWallSpace:
         if radius < max_wall:
             raise ValueError(f"radius {radius} must be >= max_wall {max_wall}")
         identity = self.identity()
-        inner_ball = set(self.base.metric_ball(max_wall, self.cap))
+        inner_ball = set(free_ball(self.rank, max_wall, self.cap))
         low: list[WreathElement] = []
         violations: list[WreathElement] = []
         count = 0
@@ -333,6 +344,4 @@ class WreathWallSpace:
         )
 
     def __repr__(self) -> str:
-        return (
-            f"WreathWallSpace(lamps={self.lamps!r}, rank={self.rank}, base={self.base!r})"
-        )
+        return f"WreathWallSpace(lamps={self.lamps!r}, rank={self.rank})"

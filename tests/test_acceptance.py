@@ -16,11 +16,12 @@ import numpy as np
 import pytest
 
 from wreathwalls import (
-    TreeWallStructure,
+    ReducedWord,
     WreathWallSpace,
     cnd_check,
     distance_matrix,
     free_ball,
+    separating_tree_walls,
     wall_coordinates,
 )
 from wreathwalls.cli import main
@@ -38,10 +39,9 @@ def _report(number: int, label: str, ok: bool, elapsed: float, budget: float | N
 def test_criterion_1_base_wall_metric_is_word_length():
     budget = 5.0
     start = time.perf_counter()
-    structure = TreeWallStructure(2)
-    one = structure.identity_element()
+    one = ReducedWord.identity(2)
     ball = free_ball(2, 5)
-    mismatches = [w for w in ball if structure.wall_distance(one, w) != len(w)]
+    mismatches = [w for w in ball if len(separating_tree_walls(one, w)) != len(w)]
     elapsed = time.perf_counter() - start
     ok = len(ball) == 485 and not mismatches and elapsed < budget
     _report(1, f"wall distance = word length on all {len(ball)} words of length <= 5", ok, elapsed, budget)

@@ -71,7 +71,20 @@ class TestDistCommand:
         )
         code, out, err = run(capsys, "dist", "--oracle", "{}|1", "{}|a")
         assert code == 1
+        assert out == "2\n"
         assert "mismatch" in err
+        assert "only in fast enumeration: E(COCONE(a), {})" in err
+        assert "only in fast enumeration: E(CONE(a), {})" in err
+        assert "only in brute force" not in err
+
+    def test_oracle_mismatch_lists_walls_only_brute_force_found(self, capsys, monkeypatch):
+        from wreathwalls.wreath_walls import WreathWallSpace
+
+        monkeypatch.setattr(WreathWallSpace, "directed_separating_walls", lambda *a, **k: ())
+        code, out, err = run(capsys, "dist", "--oracle", "{}|1", "{}|a")
+        assert (code, out) == (1, "0\n")
+        assert "only in brute force: E(COCONE(a), {})" in err
+        assert "only in fast enumeration" not in err
 
     def test_non_default_lamp_order(self, capsys):
         code, out, _ = run(capsys, "--lamp-order", "3", "dist", "{a:2}|1", "{}|1")
@@ -180,6 +193,33 @@ class TestCndCommand:
         code, out, _ = run(capsys, "cnd", "--sample", str(sample))
         assert code == 1
         assert out.startswith("FAIL")
+
+    def test_wall_count_matches_embed_and_coordinates(self, capsys, tmp_path):
+        from wreathwalls import LampGroup, WreathWallSpace, wall_coordinates
+        from wreathwalls.grammar import load_sample_file
+
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{}|1\n{1:1}|a\n{b:1}|b\n{a:2,aB:1}|aB\n{A:1}|ba\n")
+        flags = ("--lamp-order", "3", "--format", "json")
+        code, out, _ = run(capsys, *flags, "cnd", "--sample", str(sample))
+        assert code == 0
+        cnd_count = json.loads(out)["wall_count"]
+        out_dir = tmp_path / "out"
+        code, out, _ = run(capsys, *flags, "embed", "--sample", str(sample), "--out", str(out_dir))
+        assert code == 0
+        assert json.loads(out)["wall_count"] == cnd_count
+        lamps = LampGroup.cyclic(3)
+        elements = load_sample_file(sample, lamps, 2)
+        assert len(wall_coordinates(WreathWallSpace(lamps, 2), elements)[0]) == cnd_count
+        assert len((out_dir / "walls.txt").read_text().splitlines()) == cnd_count
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+    def test_non_finite_or_non_positive_tolerance_exits_two(self, capsys, tmp_path, tol):
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{}|1\n{}|a\n")
+        code, out, err = run(capsys, f"--tol={tol}", "cnd", "--sample", str(sample))
+        assert (code, out) == (2, "")
+        assert "tolerance" in err
 
 
 class TestEmbedCommand:

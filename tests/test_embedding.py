@@ -14,6 +14,7 @@ from wreathwalls import (
     cnd_check,
     distance_matrix,
     growth_table,
+    hamming_distances,
     validate_distance_matrix,
     validate_sample,
     wall_coordinates,
@@ -100,6 +101,25 @@ class TestWallCoordinates:
         assert walls == []
         assert coords.shape == (1, 0)
 
+    def test_gram_form_hamming_equals_pairwise_loop(self):
+        def pairwise(coords):
+            n = coords.shape[0]
+            out = np.zeros((n, n), dtype=np.int64)
+            for i in range(n):
+                for j in range(n):
+                    out[i, j] = int(np.sum(coords[i] != coords[j]))
+            return out
+
+        rng = np.random.default_rng(229)
+        for n, width in ((1, 0), (2, 1), (7, 30), (20, 200)):
+            coords = rng.integers(0, 2, size=(n, width), dtype=np.int64)
+            assert np.array_equal(hamming_distances(coords), pairwise(coords))
+        sp = WreathWallSpace(z3(), 2)
+        elements = sample(["{}|1", "{a:2}|b", "{1:1,B:2}|ab", "{b:1}|A"], lamps=z3())
+        _, coords = wall_coordinates(sp, elements)
+        assert np.array_equal(hamming_distances(coords), pairwise(coords))
+        assert np.array_equal(hamming_distances(coords), distance_matrix(sp, elements))
+
 
 class TestCndCheck:
     def test_boundary_metric_passes(self):
@@ -147,8 +167,9 @@ class TestCndCheck:
                 assert cnd_check(distance_matrix(sp, elements)).passed
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            cnd_check(np.array([[0, 1], [1, 0]]), tol=0)
+        for tol in (0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="tolerance"):
+                cnd_check(np.array([[0, 1], [1, 0]]), tol=tol)
         with pytest.raises(ValueError):
             cnd_check(np.array([[0, 1], [2, 0]]))
         with pytest.raises(ValueError):

@@ -1,0 +1,163 @@
+"""Golden stdout: the exact bytes of text and JSON command output.
+
+Every case runs ``main`` in process and compares stdout byte for byte, with
+the exit code. The expectations are the output of the code before the
+wall-structure layer was folded into the tree walls; they hold every later
+refactoring to the same bytes.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from wreathwalls.cli import main
+
+# The centred kernel of any sample has the eigenvalue 0 (on the constant
+# vector). For this Z/3 sample numpy returns it as exactly 0.0, so the cnd
+# lines carry no rounding noise.
+SAMPLE = (
+    "{1:1,A:1}|Ab\n"
+    "{a:2,aB:1}|aB\n"
+    "{a:1,b:2}|1\n"
+    "{A:1}|ba\n"
+    "{}|ab\n"
+    "{B:2}|A\n"
+)
+
+CASES = {
+    "walls": (
+        ["walls", "{a:1}|b", "{B:1}|ab"],
+        0,
+        (
+            "1->2 E(COCONE(a), {a:1})\n"
+            "1->2 E(CONE(b), {a:1})\n"
+            "1->2 E(COCONE(B), {})\n"
+            "1->2 E(COCONE(ab), {})\n"
+            "2->1 E(CONE(a), {B:1})\n"
+            "2->1 E(COCONE(b), {})\n"
+            "2->1 E(COCONE(B), {B:1})\n"
+            "2->1 E(CONE(ab), {B:1})\n"
+            "total 8\n"
+        ),
+    ),
+    "walls_json": (
+        ["--format", "json", "walls", "{a:1}|b", "{B:1}|ab"],
+        0,
+        (
+            '{"distance": 8, "forward": [{"base": {"deep": "a", "side": "COCONE"}, '
+            '"decoration": {"a": 1}}, {"base": {"deep": "b", "side": "CONE"}, '
+            '"decoration": {"a": 1}}, {"base": {"deep": "B", "side": "COCONE"}, '
+            '"decoration": {}}, {"base": {"deep": "ab", "side": "COCONE"}, '
+            '"decoration": {}}], "reverse": [{"base": {"deep": "a", "side": "CONE"}, '
+            '"decoration": {"B": 1}}, {"base": {"deep": "b", "side": "COCONE"}, '
+            '"decoration": {}}, {"base": {"deep": "B", "side": "COCONE"}, '
+            '"decoration": {"B": 1}}, {"base": {"deep": "ab", "side": "CONE"}, '
+            '"decoration": {"B": 1}}]}\n'
+        ),
+    ),
+    "walls_z3": (
+        ["--lamp-order", "3", "walls", "{a:2}|1", "{b:1}|A"],
+        0,
+        (
+            "1->2 E(COCONE(a), {a:2})\n"
+            "1->2 E(COCONE(A), {})\n"
+            "1->2 E(COCONE(b), {})\n"
+            "2->1 E(COCONE(a), {})\n"
+            "2->1 E(CONE(A), {b:1})\n"
+            "2->1 E(COCONE(b), {b:1})\n"
+            "total 6\n"
+        ),
+    ),
+    "dist": (
+        ["dist", "{a:1}|b", "{B:1}|ab"],
+        0,
+        "8\n",
+    ),
+    "dist_oracle": (
+        ["dist", "--oracle", "{1:1,ab:1}|a", "{B:1}|b"],
+        0,
+        "8\n",
+    ),
+    "dist_oracle_json": (
+        ["--format", "json", "dist", "--oracle", "{a:1}|b", "{B:1}|ab"],
+        0,
+        '{"distance": 8, "oracle_ok": true}\n',
+    ),
+    "proper": (
+        ["--rank", "1", "proper", "--max-wall", "2"],
+        0,
+        (
+            "box radius 3: 896 elements enumerated\n"
+            "wall distance <= 2: 14 elements (bound 160)\n"
+            "  {}|1\n"
+            "  {1:1}|1\n"
+            "  {1:1,a:1}|1\n"
+            "  {1:1,A:1}|1\n"
+            "  {a:1}|1\n"
+            "  {A:1}|1\n"
+            "  {}|a\n"
+            "  {1:1}|a\n"
+            "  {1:1,a:1}|a\n"
+            "  {a:1}|a\n"
+            "  {}|A\n"
+            "  {1:1}|A\n"
+            "  {1:1,A:1}|A\n"
+            "  {A:1}|A\n"
+            "contained in radius-2 box: yes\n"
+        ),
+    ),
+    "proper_json": (
+        ["--rank", "1", "--format", "json", "proper", "--max-wall", "2", "--radius", "3"],
+        0,
+        (
+            '{"base_ball_size": 5, "box_size": 896, "cardinality_bound": 160, '
+            '"contained": true, "lamp_order": 2, "max_wall": 2, "radius": 3, '
+            '"rank": 1, "sublevel": ["{}|1", "{1:1}|1", "{1:1,a:1}|1", '
+            '"{1:1,A:1}|1", "{a:1}|1", "{A:1}|1", "{}|a", "{1:1}|a", "{1:1,a:1}|a", '
+            '"{a:1}|a", "{}|A", "{1:1}|A", "{1:1,A:1}|A", "{A:1}|A"], '
+            '"sublevel_count": 14, "violations": []}\n'
+        ),
+    ),
+    "growth": (
+        ["growth", "--radius", "3"],
+        0,
+        (
+            "radius sphere_size min_wall max_wall\n"
+            "     0           1        0        0\n"
+            "     1           5        0        2\n"
+            "     2          20        2        4\n"
+            "     3          80        2        6\n"
+        ),
+    ),
+    "growth_json": (
+        ["--format", "json", "growth", "--radius", "3"],
+        0,
+        (
+            '[{"max_wall": 0, "min_wall": 0, "radius": 0, "sphere_size": 1}, '
+            '{"max_wall": 2, "min_wall": 0, "radius": 1, "sphere_size": 5}, '
+            '{"max_wall": 4, "min_wall": 2, "radius": 2, "sphere_size": 20}, '
+            '{"max_wall": 6, "min_wall": 2, "radius": 3, "sphere_size": 80}]\n'
+        ),
+    ),
+    "cnd": (
+        ["--lamp-order", "3", "cnd", "--sample", "SAMPLE"],
+        0,
+        "pass min_eigenvalue=0.000e+00 dimension=6 wall_count=20\n",
+    ),
+    "cnd_json": (
+        ["--lamp-order", "3", "--format", "json", "cnd", "--sample", "SAMPLE"],
+        0,
+        (
+            '{"dimension": 6, "min_eigenvalue": 0.0, "pass": true, "wall_count": 20}\n'
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_stdout_is_byte_identical(name, capsys, tmp_path):
+    argv, expected_code, expected_out = CASES[name]
+    sample = tmp_path / "sample.txt"
+    sample.write_text(SAMPLE)
+    code = main([str(sample) if arg == "SAMPLE" else arg for arg in argv])
+    assert (code, capsys.readouterr().out) == (expected_code, expected_out)

@@ -11,7 +11,6 @@ from wreathwalls import (
     Side,
     TreeHalfSpace,
     TreeWall,
-    TreeWallStructure,
     free_ball,
     separating_tree_walls,
     side_containing,
@@ -154,26 +153,19 @@ class TestTranslation:
             )
 
 
-class TestTreeWallStructure:
+class TestTreeWallDistance:
     def test_wall_distance_is_word_metric(self):
-        s = TreeWallStructure(2)
-        assert s.wall_distance(word("1"), word("ab")) == 2
-        assert s.wall_distance(word("ab"), word("aB")) == 2
-        assert s.wall_distance(word("a"), word("a")) == 0
+        def distance(x, y):
+            return len(separating_tree_walls(word(x), word(y)))
+
+        assert distance("1", "ab") == 2
+        assert distance("ab", "aB") == 2
+        assert distance("a", "a") == 0
 
     def test_left_invariance(self):
-        s = TreeWallStructure(2)
         rng = random.Random(29)
         for _ in range(300):
             g = random_reduced_word(rng, 2, 4)
             x = random_reduced_word(rng, 2, 4)
             y = random_reduced_word(rng, 2, 4)
-            assert s.wall_distance(g * x, g * y) == s.wall_distance(x, y)
-
-    def test_metric_ball_is_free_ball(self):
-        s = TreeWallStructure(2)
-        assert s.metric_ball(2) == free_ball(2, 2)
-
-    def test_rejects_bad_rank(self):
-        with pytest.raises(ValueError):
-            TreeWallStructure(0)
+            assert len(separating_tree_walls(g * x, g * y)) == len(separating_tree_walls(x, y))

@@ -195,6 +195,15 @@ class TestWallDistance:
         with pytest.raises(ValueError):
             sp.brute_force_separating(elem("{}|1"), elem("{}|ab"), radius=2)
 
+    def test_smallest_accepted_radius(self):
+        sp = space()
+        a, b = elem("{1:1,aB:1}|1"), elem("{b:1}|ba")
+        radius = sp.oracle_radius(a, b)
+        assert radius == 3
+        with pytest.raises(ValueError):
+            sp.brute_force_separating(a, b, radius - 1)
+        assert len(sp.brute_force_separating(a, b, radius)) == sp.wall_distance(a, b)
+
     def test_pseudometric_axioms(self):
         rng = random.Random(113)
         sp = space()
@@ -329,3 +338,8 @@ class TestProperness:
     def test_space_rejects_bad_cap(self):
         with pytest.raises(ValueError):
             WreathWallSpace(z2(), rank=2, cap=0)
+
+    def test_space_rejects_bad_rank(self):
+        for rank in (0, 27):
+            with pytest.raises(ValueError, match="rank"):
+                WreathWallSpace(z2(), rank=rank)
