@@ -50,12 +50,7 @@ from .walls import (
     side_containing,
     translate_half_space,
 )
-from .wreath_walls import (
-    SublevelReport,
-    WreathHalfSpace,
-    WreathWall,
-    WreathWallSpace,
-)
+from .wreath_walls import SublevelReport, WreathHalfSpace, WreathWallSpace
 
 __version__ = "0.1.0"
 
@@ -75,7 +70,6 @@ __all__ = [
     "TreeWall",
     "WreathElement",
     "WreathHalfSpace",
-    "WreathWall",
     "WreathWallSpace",
     "cnd_check",
     "distance_matrix",

@@ -29,7 +29,7 @@ from .embedding import (
 )
 from .grammar import ParseError, load_lamp_table, load_sample_file, parse_element
 from .groups import DEFAULT_CAP, CapExceededError, LampGroup
-from .wreath_walls import SublevelReport, WreathHalfSpace, WreathWall, WreathWallSpace
+from .wreath_walls import SublevelReport, WreathHalfSpace, WreathWallSpace
 
 
 @dataclass
@@ -138,10 +138,6 @@ def _half_space_dict(half: WreathHalfSpace) -> dict:
     }
 
 
-def _wall_dict(wall: WreathWall) -> dict:
-    return _half_space_dict(wall.positive)
-
-
 def _cmd_mul(cfg: SessionConfig, args: argparse.Namespace) -> int:
     _require_text_or_json(cfg)
     left = parse_element(args.left, cfg.lamps, cfg.rank)
@@ -190,7 +186,7 @@ def _cmd_dist(cfg: SessionConfig, args: argparse.Namespace) -> int:
     if oracle_ok is False:
         print("oracle mismatch: brute-force walls differ from the fast enumeration", file=sys.stderr)
         for label, only in (("brute force", brute - fast), ("fast enumeration", fast - brute)):
-            for wall in sorted(only, key=WreathWall.sort_key):
+            for wall in sorted(only, key=WreathHalfSpace.sort_key):
                 print(f"  only in {label}: {wall}", file=sys.stderr)
         return 1
     return 0
@@ -206,8 +202,8 @@ def _cmd_walls(cfg: SessionConfig, args: argparse.Namespace) -> int:
     if cfg.fmt == "json":
         _emit_json(
             {
-                "forward": [_wall_dict(w) for w in forward],
-                "reverse": [_wall_dict(w) for w in reverse],
+                "forward": [_half_space_dict(w) for w in forward],
+                "reverse": [_half_space_dict(w) for w in reverse],
                 "distance": len(forward) + len(reverse),
             }
         )

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groups import CapExceededError, LampConfig, ReducedWord, WreathElement
-from .wreath_walls import WreathWall, WreathWallSpace
+from .wreath_walls import WreathHalfSpace, WreathWallSpace
 
 
 def validate_sample(elements: list[WreathElement]) -> None:
@@ -39,9 +39,7 @@ def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np
     matrix = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
-            d = space.wall_distance(elements[i], elements[j])
-            matrix[i, j] = d
-            matrix[j, i] = d
+            matrix[i, j] = matrix[j, i] = space.wall_distance(elements[i], elements[j])
     validate_distance_matrix(matrix)
     return matrix
 
@@ -62,19 +60,21 @@ def validate_distance_matrix(matrix: np.ndarray) -> None:
             raise ValueError(f"triangle inequality fails through index {k}")
 
 
-def sample_walls(space: WreathWallSpace, elements: list[WreathElement]) -> list[WreathWall]:
-    """Every wall separating some pair of sample elements, in canonical order."""
-    walls: set[WreathWall] = set()
-    for i in range(len(elements)):
-        for j in range(i + 1, len(elements)):
-            walls.update(space.directed_separating_walls(elements[i], elements[j]))
-            walls.update(space.directed_separating_walls(elements[j], elements[i]))
-    return sorted(walls, key=WreathWall.sort_key)
+def sample_walls(space: WreathWallSpace, elements: list[WreathElement]) -> list[WreathHalfSpace]:
+    """Every wall separating some pair of sample elements, in canonical order.
+
+    The base walls between any x and the rest of the sample are the edges of
+    one subtree, spanned by all positions and all sites where two lamp
+    configurations disagree; each element has its wall through each edge.
+    """
+    edges = set().union(*(space.base_walls(elements[0], other) for other in elements[1:]))
+    walls = {space.wall_through(edge, element) for element in elements for edge in edges}
+    return sorted(walls, key=WreathHalfSpace.sort_key)
 
 
 def wall_coordinates(
     space: WreathWallSpace, elements: list[WreathElement]
-) -> tuple[list[WreathWall], np.ndarray]:
+) -> tuple[list[WreathHalfSpace], np.ndarray]:
     """0/1 wall coordinates realizing the wall distance as Hamming distance.
 
     Marks membership of each element in the positive half of each of the
@@ -87,7 +87,7 @@ def wall_coordinates(
     matrix = np.zeros((len(elements), len(ordered)), dtype=np.int64)
     for i, element in enumerate(elements):
         for k, wall in enumerate(ordered):
-            if wall.positive.contains(element):
+            if wall.contains(element):
                 matrix[i, k] = 1
     return ordered, matrix
 

@@ -23,17 +23,31 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_RANK = 26
 DEFAULT_CAP = 10**6
+_EXACT_BITS = 4096  # refusals print sizes up to this many bits (str() stops at 4,300 digits)
 
 
 class CapExceededError(ValueError):
-    """An enumeration was refused because it would exceed the configured cap."""
+    """An enumeration was refused because it would exceed the configured cap.
 
-    def __init__(self, predicted: int, cap: int, what: str):
-        super().__init__(
-            f"{what} would enumerate {predicted} elements, above the cap of {cap}"
-        )
+    ``predicted`` is the exact size, or None when a lower bound settled it.
+    """
+
+    def __init__(self, predicted: int | None, cap: int, what: str):
+        shown = predicted is not None and predicted.bit_length() <= _EXACT_BITS
+        size = predicted if shown else f"more than {cap}"
+        super().__init__(f"{what} would enumerate {size} elements, above the cap of {cap}")
         self.predicted = predicted
         self.cap = cap
+
+
+def capped_power(base: int, exponent: int, cap: int) -> int | None:
+    """``base ** exponent`` (base >= 2), or None when it is too large to show.
+
+    None only where ``2 ** exponent`` already exceeds ``cap``; the exponent may be any radius.
+    """
+    if exponent > cap.bit_length() and exponent * base.bit_length() > _EXACT_BITS:
+        return None
+    return base**exponent
 
 
 def check_rank(rank: int) -> None:
@@ -160,15 +174,25 @@ def predicted_ball_size(rank: int, radius: int) -> int:
     return 1 + 2 * rank * (q**radius - 1) // (q - 1)
 
 
+def capped_ball_size(rank: int, radius: int, cap: int) -> int:
+    """Size of the radius ball, refusing above ``cap``.
+
+    For rank >= 2 the lower bound 3**radius refuses before the exact size is computed.
+    """
+    large = rank > 1 and capped_power(3, radius, cap) is None
+    predicted = None if large else predicted_ball_size(rank, radius)
+    if predicted is None or predicted > cap:
+        raise CapExceededError(predicted, cap, f"ball of radius {radius} in F_{rank}")
+    return predicted
+
+
 def free_ball(rank: int, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWord]:
     """All reduced words of length <= radius, in shortlex order.
 
-    Refuses with :class:`CapExceededError` when the exact predicted size
-    exceeds ``cap``; the ball grows like (2*rank-1)**radius.
+    Refuses with :class:`CapExceededError` above ``cap`` (see
+    :func:`capped_ball_size`); the ball grows like (2*rank-1)**radius.
     """
-    predicted = predicted_ball_size(rank, radius)
-    if predicted > cap:
-        raise CapExceededError(predicted, cap, f"ball of radius {radius} in F_{rank}")
+    capped_ball_size(rank, radius, cap)
     alphabet = sorted(
         [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)],
         key=letter_order,

@@ -7,9 +7,9 @@ half-space when its position lies in A and its lamps, restricted to the
 complement of A, equal the decoration. The walls are the partitions into
 such a half-space and its complement.
 
-:class:`WreathWallSpace` packages the fast geodesic-based enumeration of
-separating walls, the induced left action on half-spaces, an exhaustive
-brute-force oracle for cross-checking, and the sub-level properness report.
+:class:`WreathWallSpace` packages the closed-form wall distance, the directed
+enumeration of separating walls, the induced left action on half-spaces, an
+exhaustive brute-force oracle for cross-checking, and the sub-level report.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .groups import (
     LampGroup,
     ReducedWord,
     WreathElement,
+    capped_ball_size,
+    capped_power,
     check_rank,
     free_ball,
 )
@@ -44,6 +46,10 @@ class WreathHalfSpace:
 
     The decoration must be supported in the complement of the base
     half-space; inside it the lamps are unconstrained.
+
+    A wall {E, complement of E} is represented by its positive half E: for
+    lamp groups of order >= 2 no such half-space is the complement of
+    another, so (base, decoration) is a sound canonical identity for it.
     """
 
     base: TreeHalfSpace
@@ -71,24 +77,6 @@ class WreathHalfSpace:
 
     def __str__(self) -> str:
         return f"E({self.base}, {self.decoration})"
-
-
-@dataclass(frozen=True)
-class WreathWall:
-    """The wall {E, complement of E} keyed by its positive half E.
-
-    For lamp groups of order >= 2 no such half-space is the complement of
-    another, so the (base, decoration) pair is a sound canonical identity
-    for the wall.
-    """
-
-    positive: WreathHalfSpace
-
-    def sort_key(self) -> tuple:
-        return self.positive.sort_key()
-
-    def __str__(self) -> str:
-        return str(self.positive)
 
 
 @dataclass(frozen=True)
@@ -144,42 +132,44 @@ class WreathWallSpace:
 
     # -- separating walls ---------------------------------------------------
 
+    def base_walls(self, a: WreathElement, b: WreathElement) -> set[TreeWall]:
+        """The base walls carrying a wall between a and b; symmetric in a and b.
+
+        The edges of the subtree spanned by both positions and every position
+        where the lamps disagree; any other base wall has a and b on one side
+        with equal lamps beyond it.
+        """
+        self._check_element(a)
+        self._check_element(b)
+        targets = {b.position, *a.lamps.left_difference(b.lamps).support}
+        return set().union(*(separating_tree_walls(a.position, t) for t in targets))
+
     def directed_separating_walls(
         self, inside: WreathElement, outside: WreathElement
-    ) -> tuple[WreathWall, ...]:
+    ) -> tuple[WreathHalfSpace, ...]:
         """All walls whose positive half contains ``inside`` but not ``outside``.
 
-        The base wall must separate inside's position from outside's
-        position or from some position where the two lamp configurations
-        disagree; the decoration is then forced to be inside's lamps
-        restricted to the far side. Returned in canonical order.
+        One per base wall between the two: the decoration is forced to be
+        inside's lamps restricted to the far side. Returned in canonical
+        order.
         """
-        self._check_element(inside)
-        self._check_element(outside)
-        disagreement = inside.lamps.left_difference(outside.lamps)
-        targets = {outside.position}
-        targets.update(disagreement.support)
-        base_walls: set[TreeWall] = set()
-        for target in targets:
-            base_walls.update(separating_tree_walls(inside.position, target))
-        walls = [self._wall_through(wall, inside) for wall in base_walls]
-        walls.sort(key=WreathWall.sort_key)
+        walls = [self.wall_through(wall, inside) for wall in self.base_walls(inside, outside)]
+        walls.sort(key=WreathHalfSpace.sort_key)
         return tuple(walls)
 
-    def _wall_through(self, base_wall: TreeWall, element: WreathElement) -> WreathWall:
+    def wall_through(self, base_wall: TreeWall, element: WreathElement) -> WreathHalfSpace:
+        """The wall over ``base_wall`` whose positive half contains ``element``."""
         base_side = side_containing(base_wall, element.position)
         decoration = element.lamps.restrict(lambda p: not base_side.contains(p))
-        return WreathWall(WreathHalfSpace(base_side, decoration))
+        return WreathHalfSpace(base_side, decoration)
 
     def wall_distance(self, a: WreathElement, b: WreathElement) -> int:
         """Number of walls separating a from b; a proper pseudometric.
 
-        Each separating wall shows up in exactly one direction, so the two
-        directed counts add up without overlap.
+        Every base wall between the two carries exactly one separating wall
+        in each direction, so the count is twice the number of base walls.
         """
-        return len(self.directed_separating_walls(a, b)) + len(
-            self.directed_separating_walls(b, a)
-        )
+        return 2 * len(self.base_walls(a, b))
 
     # -- group action -------------------------------------------------------
 
@@ -196,9 +186,6 @@ class WreathWallSpace:
         shifted_decoration = half.decoration.shifted(element.position)
         own_outside = element.lamps.restrict(lambda p: not moved_base.contains(p))
         return WreathHalfSpace(moved_base, own_outside.pointwise_mul(shifted_decoration))
-
-    def translate_wall(self, element: WreathElement, wall: WreathWall) -> WreathWall:
-        return WreathWall(self.translate(element, wall.positive))
 
     # -- exhaustive oracle ----------------------------------------------------
 
@@ -219,7 +206,7 @@ class WreathWallSpace:
         b: WreathElement,
         radius: int,
         decoration_sweep: bool = False,
-    ) -> tuple[WreathWall, ...]:
+    ) -> tuple[WreathHalfSpace, ...]:
         """Separating walls found by exhaustive search, for cross-checking.
 
         Tries every base wall with deep endpoint in the radius ball, both
@@ -241,7 +228,7 @@ class WreathWallSpace:
                 f"oracle radius {radius} too small: need >= {required} to confine all walls"
             )
         ball = free_ball(self.rank, radius, self.cap)
-        found: set[WreathWall] = set()
+        found: set[WreathHalfSpace] = set()
         for deep in ball:
             if deep.is_identity:
                 continue
@@ -253,8 +240,8 @@ class WreathWallSpace:
                 for decoration in candidates:
                     half = WreathHalfSpace(base_side, decoration)
                     if half.contains(a) != half.contains(b):
-                        found.add(WreathWall(half))
-        return tuple(sorted(found, key=WreathWall.sort_key))
+                        found.add(half)
+        return tuple(sorted(found, key=WreathHalfSpace.sort_key))
 
     def _candidate_decorations(
         self,
@@ -268,8 +255,8 @@ class WreathWallSpace:
         if not decoration_sweep:
             return {a.lamps.restrict(outside), b.lamps.restrict(outside)}
         positions = [p for p in ball if outside(p)]
-        predicted = self.lamps.order ** len(positions)
-        if predicted > self.cap:
+        predicted = capped_power(self.lamps.order, len(positions), self.cap)
+        if predicted is None or predicted > self.cap:
             raise CapExceededError(predicted, self.cap, "decoration sweep")
         configs: set[LampConfig] = set()
         for values in itertools.product(self.lamps.elements(), repeat=len(positions)):
@@ -279,20 +266,25 @@ class WreathWallSpace:
     # -- properness ---------------------------------------------------------
 
     def box_size(self, radius: int) -> int:
-        """Exact count of elements with position and lamp support in the radius ball."""
-        ball = len(free_ball(self.rank, radius, self.cap))
-        return self.lamps.order**ball * ball
+        """Exact count of elements with position and lamp support in the radius ball.
+
+        Refuses above the cap, without building the ball.
+        """
+        ball = capped_ball_size(self.rank, radius, self.cap)
+        power = capped_power(self.lamps.order, ball, self.cap)
+        predicted = None if power is None else power * ball
+        if predicted is None or predicted > self.cap:
+            raise CapExceededError(predicted, self.cap, f"box of radius {radius}")
+        return predicted
 
     def enumerate_box(self, radius: int) -> Iterator[WreathElement]:
         """All elements whose position and lamp support lie in the radius ball.
 
         Deterministic order: positions shortlex, lamp values in table order.
-        Refuses when the exact box size exceeds the cap.
+        Refuses when the box size exceeds the cap (see :meth:`box_size`).
         """
+        self.box_size(radius)
         ball = free_ball(self.rank, radius, self.cap)
-        predicted = self.lamps.order ** len(ball) * len(ball)
-        if predicted > self.cap:
-            raise CapExceededError(predicted, self.cap, f"box of radius {radius}")
         for values in itertools.product(self.lamps.elements(), repeat=len(ball)):
             config = LampConfig.from_pairs(zip(ball, values), self.lamps, self.rank)
             for position in ball:
@@ -306,39 +298,32 @@ class WreathWallSpace:
         position and lamp support inside the base ball of radius max_wall.
 
         The box is exhaustive for the sub-level set whenever
-        radius >= max_wall: the directed enumeration yields at least one
-        wall per geodesic edge in each direction, so any element reaching
-        outside the ball of radius max_wall already has wall distance
-        > max_wall and cannot hide beyond the box.
+        radius >= max_wall: every edge of the geodesic from the identity to
+        the position or to a lamp is a base wall between them, so any element
+        reaching outside the ball of radius max_wall already has wall
+        distance > max_wall and cannot hide beyond the box.
         """
         if max_wall < 0:
             raise ValueError(f"max_wall must be >= 0, got {max_wall}")
         if radius < max_wall:
             raise ValueError(f"radius {radius} must be >= max_wall {max_wall}")
+        box = self.box_size(radius)  # refuse before building either ball
         identity = self.identity()
         inner_ball = set(free_ball(self.rank, max_wall, self.cap))
-        low: list[WreathElement] = []
-        violations: list[WreathElement] = []
-        count = 0
-        for element in self.enumerate_box(radius):
-            count += 1
-            if self.wall_distance(identity, element) <= max_wall:
-                low.append(element)
-                reach = {element.position, *element.lamps.support}
-                if not reach.issubset(inner_ball):
-                    violations.append(element)
-        low.sort(key=WreathElement.sort_key)
-        violations.sort(key=WreathElement.sort_key)
-        bound = self.lamps.order ** len(inner_ball) * len(inner_ball)
+        low = sorted(
+            (x for x in self.enumerate_box(radius) if self.wall_distance(identity, x) <= max_wall),
+            key=WreathElement.sort_key,
+        )
+        violations = [x for x in low if not {x.position, *x.lamps.support} <= inner_ball]
         return SublevelReport(
             rank=self.rank,
             lamp_order=self.lamps.order,
             max_wall=max_wall,
             radius=radius,
-            box_size=count,
+            box_size=box,
             sublevel=tuple(low),
             base_ball_size=len(inner_ball),
-            cardinality_bound=bound,
+            cardinality_bound=self.box_size(max_wall),
             contained=not violations,
             violations=tuple(violations),
         )

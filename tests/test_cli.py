@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -288,6 +290,32 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "--cap", "10", "proper", "--max-wall", "1")
         assert code == 2
         assert "cap" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["proper", "--max-wall", "10000"],
+            ["--rank", "1", "proper", "--max-wall", "10000"],
+            ["proper", "--max-wall", "99999999999999999999"],
+            ["--rank", "1", "proper", "--max-wall", "99999999999999999999"],
+        ],
+        ids=["rank2", "rank1", "rank2-huge", "rank1-huge"],
+    )
+    def test_large_radius_is_refused_quickly(self, argv):
+        # The exact box and ball sizes here have thousands of digits (or a
+        # 10**20 exponent); the refusal must come from a cheap bound.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "wreathwalls", *argv],
+            capture_output=True,
+            text=True,
+            timeout=5,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+        assert result.returncode == 2
+        assert result.stdout == ""
+        assert "above the cap" in result.stderr
 
     def test_bad_lamp_order_exits_two(self, capsys):
         code, _, err = run(capsys, "--lamp-order", "1", "dist", "{}|1", "{}|1")

@@ -3,10 +3,14 @@
 Every case runs ``main`` in process and compares stdout byte for byte, with
 the exit code. The expectations are the output of the code before the
 wall-structure layer was folded into the tree walls; they hold every later
-refactoring to the same bytes.
+refactoring to the same bytes. The ``embed`` case also pins its four export
+files, captured before the sample's wall union was taken from one element's
+base walls.
 """
 
 from __future__ import annotations
+
+import json
 
 import pytest
 
@@ -154,6 +158,55 @@ CASES = {
 }
 
 
+EMBED_FILES = {
+    "elements.txt": SAMPLE,
+    "walls.txt": (
+        "E(CONE(a), {})\n"
+        "E(COCONE(a), {})\n"
+        "E(COCONE(a), {a:1})\n"
+        "E(CONE(A), {1:1})\n"
+        "E(CONE(A), {B:2})\n"
+        "E(COCONE(A), {})\n"
+        "E(COCONE(A), {A:1})\n"
+        "E(CONE(b), {A:1})\n"
+        "E(COCONE(b), {})\n"
+        "E(COCONE(b), {b:2})\n"
+        "E(COCONE(B), {})\n"
+        "E(COCONE(B), {B:2})\n"
+        "E(CONE(ab), {})\n"
+        "E(COCONE(ab), {})\n"
+        "E(CONE(aB), {a:2})\n"
+        "E(COCONE(aB), {})\n"
+        "E(CONE(Ab), {1:1,A:1})\n"
+        "E(COCONE(Ab), {})\n"
+        "E(CONE(ba), {A:1})\n"
+        "E(COCONE(ba), {})\n"
+    ),
+    "distances.csv": (
+        "0,8,8,8,8,6\n"
+        "8,0,6,10,4,8\n"
+        "8,6,0,8,6,8\n"
+        "8,10,8,0,10,8\n"
+        "8,4,6,10,0,8\n"
+        "6,8,8,8,8,0\n"
+    ),
+    "coordinates.csv": (
+        "0,1,0,1,0,0,0,0,1,0,1,0,0,1,0,1,1,0,0,1\n"
+        "1,0,0,0,0,1,0,0,1,0,1,0,0,1,1,0,0,1,0,1\n"
+        "0,0,1,0,0,1,0,0,0,1,1,0,0,1,0,1,0,1,0,1\n"
+        "0,1,0,0,0,0,1,1,0,0,1,0,0,1,0,1,0,1,1,0\n"
+        "1,0,0,0,0,1,0,0,1,0,1,0,1,0,0,1,0,1,0,1\n"
+        "0,1,0,0,1,0,0,0,1,0,0,1,0,1,0,1,0,1,0,1\n"
+    ),
+}
+
+# ``OUT`` stands for the export directory, which appears in stdout.
+EMBED_CASES = {
+    "text": "wrote 6 elements x 20 walls to OUT; isometry self-check ok\n",
+    "json": '{"dimension": 6, "isometry_ok": true, "out": OUT, "wall_count": 20}\n',
+}
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_stdout_is_byte_identical(name, capsys, tmp_path):
     argv, expected_code, expected_out = CASES[name]
@@ -161,3 +214,15 @@ def test_stdout_is_byte_identical(name, capsys, tmp_path):
     sample.write_text(SAMPLE)
     code = main([str(sample) if arg == "SAMPLE" else arg for arg in argv])
     assert (code, capsys.readouterr().out) == (expected_code, expected_out)
+
+
+@pytest.mark.parametrize("fmt", sorted(EMBED_CASES))
+def test_embed_stdout_and_exports_are_byte_identical(fmt, capsys, tmp_path):
+    sample = tmp_path / "sample.txt"
+    sample.write_text(SAMPLE)
+    out = tmp_path / "exports"
+    argv = ["--lamp-order", "3", "--format", fmt, "embed", "--sample", str(sample)]
+    code = main([*argv, "--out", str(out)])
+    shown = json.dumps(str(out)) if fmt == "json" else str(out)
+    assert (code, capsys.readouterr().out) == (0, EMBED_CASES[fmt].replace("OUT", shown))
+    assert {name: (out / name).read_text() for name in EMBED_FILES} == EMBED_FILES

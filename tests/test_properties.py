@@ -1,0 +1,98 @@
+"""Property-based oracle checks: the closed-form wall count against its enumerations.
+
+Hypothesis draws a lamp group (Z/2, Z/3 or S3), a rank from 1 to 3, and
+elements or samples in that group. The closed form ``wall_distance`` must
+agree with both directed enumerations and with the brute-force search, the
+one-element ``sample_walls`` with the pairwise union of directed walls, and
+the Hamming distance of the wall coordinates with the distance matrix.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wreathwalls import (
+    LampConfig,
+    ReducedWord,
+    WreathElement,
+    WreathWallSpace,
+    distance_matrix,
+    hamming_distances,
+    sample_walls,
+    wall_coordinates,
+)
+
+from support import s3, z2, z3
+
+LAMPS = [z2(), z3(), s3()]
+
+
+def words(rank: int, max_len: int) -> st.SearchStrategy[ReducedWord]:
+    letters = st.sampled_from([i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)])
+    return st.lists(letters, max_size=max_len).map(lambda ls: ReducedWord.from_letters(ls, rank))
+
+
+def elements(lamps, rank: int, max_len: int) -> st.SearchStrategy[WreathElement]:
+    configs = st.dictionaries(
+        words(rank, max_len), st.integers(1, lamps.order - 1), max_size=3
+    ).map(lambda pairs: LampConfig.from_pairs(pairs.items(), lamps, rank))
+    return st.builds(WreathElement, configs, words(rank, max_len))
+
+
+@st.composite
+def pairs(draw, max_len: int):
+    lamps, rank = draw(st.sampled_from(LAMPS)), draw(st.integers(1, 3))
+    element = elements(lamps, rank, max_len)
+    return WreathWallSpace(lamps, rank), draw(element), draw(element)
+
+
+@st.composite
+def samples(draw, min_size: int):
+    lamps, rank = draw(st.sampled_from(LAMPS)), draw(st.integers(1, 3))
+    sample = draw(st.lists(elements(lamps, rank, 4), min_size=min_size, max_size=8, unique=True))
+    return WreathWallSpace(lamps, rank), sample
+
+
+@settings(deadline=None, max_examples=200)
+@given(pairs(max_len=5))
+def test_closed_form_equals_both_directed_counts(case):
+    space, a, b = case
+    forward = space.directed_separating_walls(a, b)
+    reverse = space.directed_separating_walls(b, a)
+    assert len(forward) == len(reverse)
+    assert space.wall_distance(a, b) == len(forward) + len(reverse)
+    assert space.base_walls(a, b) == space.base_walls(b, a)
+
+
+@settings(deadline=None, max_examples=40)
+@given(pairs(max_len=2))
+def test_closed_form_equals_brute_force(case):
+    space, a, b = case
+    brute = space.brute_force_separating(a, b, space.oracle_radius(a, b))
+    assert space.wall_distance(a, b) == len(brute)
+    fast = set(space.directed_separating_walls(a, b)) | set(space.directed_separating_walls(b, a))
+    assert fast == set(brute)
+
+
+@settings(deadline=None, max_examples=60)
+@given(samples(min_size=0))
+def test_sample_walls_equal_pairwise_directed_union(case):
+    space, sample = case
+    union = set()
+    for i in range(len(sample)):
+        for j in range(i + 1, len(sample)):
+            union.update(space.directed_separating_walls(sample[i], sample[j]))
+            union.update(space.directed_separating_walls(sample[j], sample[i]))
+    walls = sample_walls(space, sample)
+    assert walls == sorted(union, key=lambda w: w.sort_key())
+    assert len(set(walls)) == len(walls)
+
+
+@settings(deadline=None, max_examples=60)
+@given(samples(min_size=1))
+def test_hamming_of_coordinates_equals_distance_matrix(case):
+    space, sample = case
+    _, coordinates = wall_coordinates(space, sample)
+    assert np.array_equal(hamming_distances(coordinates), distance_matrix(space, sample))

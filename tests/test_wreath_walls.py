@@ -16,7 +16,7 @@ from wreathwalls import (
     WreathWallSpace,
 )
 from wreathwalls.grammar import parse_element, parse_word
-from wreathwalls.wreath_walls import WreathHalfSpace, WreathWall
+from wreathwalls.wreath_walls import WreathHalfSpace
 
 from support import random_element, random_wreath_half_space, s3, z2, z3
 
@@ -134,8 +134,8 @@ class TestDirectedSeparation:
             a = random_element(rng, z3(), 2)
             b = random_element(rng, z3(), 2)
             for wall in sp.directed_separating_walls(a, b):
-                assert wall.positive.contains(a)
-                assert not wall.positive.contains(b)
+                assert wall.contains(a)
+                assert not wall.contains(b)
 
     def test_directed_families_are_disjoint(self):
         rng = random.Random(103)
@@ -286,7 +286,7 @@ class TestTranslation:
             b = random_element(rng, z2(), 2)
             direct = set(sp.directed_separating_walls(g * a, g * b))
             moved = {
-                sp.translate_wall(g, w)
+                sp.translate(g, w)
                 for w in sp.directed_separating_walls(a, b)
             }
             assert direct == moved
