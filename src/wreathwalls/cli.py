@@ -112,12 +112,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _session(args: argparse.Namespace) -> SessionConfig:
+    if args.cap < 1:
+        raise ValueError(f"cap must be >= 1, got {args.cap}")
     if args.lamp_table is not None:
         lamps = load_lamp_table(args.lamp_table)
     else:
-        lamps = LampGroup.cyclic(args.lamp_order if args.lamp_order is not None else 2)
-    if args.cap < 1:
-        raise ValueError(f"cap must be >= 1, got {args.cap}")
+        order = args.lamp_order if args.lamp_order is not None else 2
+        # The table is verified over all order**3 triples when it is built.
+        if order >= 2 and order**3 > args.cap:
+            raise CapExceededError(order**3, args.cap, f"lamp table check of order {order}")
+        lamps = LampGroup.cyclic(order)
     check_tolerance(args.tol)
     return SessionConfig(rank=args.rank, lamps=lamps, cap=args.cap, fmt=args.fmt, tol=args.tol)
 

@@ -33,9 +33,14 @@ def validate_sample(elements: list[WreathElement]) -> None:
 
 
 def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np.ndarray:
-    """Matrix of pairwise wall distances; symmetric with zero diagonal."""
+    """Matrix of pairwise wall distances; symmetric with zero diagonal.
+
+    Refuses above the space's cap on the n * n entries, before allocating.
+    """
     validate_sample(elements)
     n = len(elements)
+    if n * n > space.cap:
+        raise CapExceededError(n * n, space.cap, f"distance matrix of {n} elements")
     matrix = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
@@ -63,11 +68,10 @@ def validate_distance_matrix(matrix: np.ndarray) -> None:
 def sample_walls(space: WreathWallSpace, elements: list[WreathElement]) -> list[WreathHalfSpace]:
     """Every wall separating some pair of sample elements, in canonical order.
 
-    The base walls between any x and the rest of the sample are the edges of
-    one subtree, spanned by all positions and all sites where two lamp
-    configurations disagree; each element has its wall through each edge.
+    The sample's :meth:`~WreathWallSpace.base_walls` are the edges of one
+    subtree; each element has its wall through each edge.
     """
-    edges = set().union(*(space.base_walls(elements[0], other) for other in elements[1:]))
+    edges = space.base_walls(*elements)
     walls = {space.wall_through(edge, element) for element in elements for edge in edges}
     return sorted(walls, key=WreathHalfSpace.sort_key)
 
@@ -78,17 +82,18 @@ def wall_coordinates(
     """0/1 wall coordinates realizing the wall distance as Hamming distance.
 
     Marks membership of each element in the positive half of each of the
-    :func:`sample_walls`. Rows of the returned matrix differ in exactly
+    :func:`sample_walls`; over each base edge that is the element's own wall
+    through the edge. Rows of the returned matrix differ in exactly
     ``wall_distance`` coordinates: walls separating the pair flip, all
     others agree.
     """
     validate_sample(elements)
     ordered = sample_walls(space, elements)
+    column = {wall: k for k, wall in enumerate(ordered)}
+    edges = {wall.base.wall for wall in ordered}
     matrix = np.zeros((len(elements), len(ordered)), dtype=np.int64)
     for i, element in enumerate(elements):
-        for k, wall in enumerate(ordered):
-            if wall.contains(element):
-                matrix[i, k] = 1
+        matrix[i, [column[space.wall_through(edge, element)] for edge in edges]] = 1
     return ordered, matrix
 
 

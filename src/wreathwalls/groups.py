@@ -402,10 +402,6 @@ class LampConfig:
             self.rank,
         )
 
-    def left_difference(self, other: "LampConfig") -> "LampConfig":
-        """The configuration self^-1 * other; supported where the two disagree."""
-        return self.inverse().pointwise_mul(other)
-
     def shifted(self, g: ReducedWord) -> "LampConfig":
         """The shifted configuration x -> self(g^-1 x); support moves to g * support."""
         if g.rank != self.rank:

@@ -75,21 +75,22 @@ class TreeHalfSpace:
         return f"{self.side.value}({self.wall.deep})"
 
 
-def separating_tree_walls(x: ReducedWord, y: ReducedWord) -> tuple[TreeWall, ...]:
-    """The walls separating x from y: the edges of the tree geodesic between them.
+def separating_tree_walls(*words: ReducedWord) -> tuple[TreeWall, ...]:
+    """The walls separating some two of the words: the edges of the subtree they span.
 
-    There are exactly ``len(x.inverse() * y)`` of them. Returned sorted by
-    deep endpoint.
+    They are the words' prefixes longer than their longest common prefix, the
+    one the lexicographically least and greatest words share. Two words x and
+    y give the ``len(x.inverse() * y)`` edges of their geodesic. Returned
+    sorted by deep endpoint.
     """
-    if x.rank != y.rank:
-        raise ValueError(f"rank mismatch: {x.rank} vs {y.rank}")
-    common = 0
-    for a, b in zip(x.letters, y.letters):
-        if a != b:
-            break
-        common += 1
-    walls = [TreeWall(x.prefix(i)) for i in range(common + 1, len(x.letters) + 1)]
-    walls.extend(TreeWall(y.prefix(j)) for j in range(common + 1, len(y.letters) + 1))
+    if len({w.rank for w in words}) > 1:
+        raise ValueError(f"rank mismatch: {sorted({w.rank for w in words})}")
+    if not words:
+        return ()
+    least, greatest = min(w.letters for w in words), max(w.letters for w in words)
+    common = next((i for i, (p, q) in enumerate(zip(least, greatest)) if p != q), len(least))
+    deeps = {w.letters[:i] for w in words for i in range(common + 1, len(w.letters) + 1)}
+    walls = [TreeWall(ReducedWord(letters, words[0].rank)) for letters in deeps]
     walls.sort(key=TreeWall.sort_key)
     return tuple(walls)
 

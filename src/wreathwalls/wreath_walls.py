@@ -124,25 +124,27 @@ class WreathWallSpace:
     def identity(self) -> WreathElement:
         return WreathElement.identity(self.lamps, self.rank)
 
-    def _check_element(self, element: WreathElement) -> None:
-        if element.rank != self.rank:
-            raise ValueError(f"rank mismatch: {element.rank} vs {self.rank}")
-        if element.lamps.lamps != self.lamps:
-            raise ValueError("element uses a different lamp group")
+    def _check_elements(self, *elements: WreathElement) -> None:
+        for element in elements:
+            if element.rank != self.rank:
+                raise ValueError(f"rank mismatch: {element.rank} vs {self.rank}")
+            if element.lamps.lamps != self.lamps:
+                raise ValueError("element uses a different lamp group")
 
     # -- separating walls ---------------------------------------------------
 
-    def base_walls(self, a: WreathElement, b: WreathElement) -> set[TreeWall]:
-        """The base walls carrying a wall between a and b; symmetric in a and b.
+    def base_walls(self, *elements: WreathElement) -> tuple[TreeWall, ...]:
+        """The base walls carrying a wall between some two of the elements.
 
-        The edges of the subtree spanned by both positions and every position
-        where the lamps disagree; any other base wall has a and b on one side
-        with equal lamps beyond it.
+        The edges of the subtree spanned by every position and every site
+        where two lamp configurations disagree, which is where one disagrees
+        with the first; any other base wall has all the elements on one side
+        with equal lamps beyond it. Sorted by deep endpoint.
         """
-        self._check_element(a)
-        self._check_element(b)
-        targets = {b.position, *a.lamps.left_difference(b.lamps).support}
-        return set().union(*(separating_tree_walls(a.position, t) for t in targets))
+        self._check_elements(*elements)
+        first = set(elements[0].lamps.entries) if elements else set()
+        sites = {p for x in elements[1:] for p, _ in first.symmetric_difference(x.lamps.entries)}
+        return separating_tree_walls(*(x.position for x in elements), *sites)
 
     def directed_separating_walls(
         self, inside: WreathElement, outside: WreathElement
@@ -181,7 +183,7 @@ class WreathWallSpace:
         into the shifted old decoration. Membership is equivariant:
         the result contains element*x exactly when ``half`` contains x.
         """
-        self._check_element(element)
+        self._check_elements(element)
         moved_base = translate_half_space(element.position, half.base)
         shifted_decoration = half.decoration.shifted(element.position)
         own_outside = element.lamps.restrict(lambda p: not moved_base.contains(p))
@@ -220,8 +222,7 @@ class WreathWallSpace:
         tried instead of just the two restrictions; this validates that no
         other decoration can separate, at the cost of a much larger sweep.
         """
-        self._check_element(a)
-        self._check_element(b)
+        self._check_elements(a, b)
         required = self.oracle_radius(a, b)
         if radius < required:
             raise ValueError(

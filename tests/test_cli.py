@@ -23,6 +23,21 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_refused_within_five_seconds(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "wreathwalls", *argv],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert "above the cap" in result.stderr
+
+
 class TestArithmeticCommands:
     def test_mul(self, capsys):
         code, out, err = run(capsys, "mul", "{a:1}|a", "{a:1}|b")
@@ -215,6 +230,20 @@ class TestCndCommand:
         assert len(wall_coordinates(WreathWallSpace(lamps, 2), elements)[0]) == cnd_count
         assert len((out_dir / "walls.txt").read_text().splitlines()) == cnd_count
 
+    def test_sample_above_cap_exits_two_before_wall_work(self, capsys, tmp_path, monkeypatch):
+        from wreathwalls import WreathWallSpace
+
+        def no_wall_work(*args):
+            raise AssertionError("wall work ran before the cap check")
+
+        monkeypatch.setattr(WreathWallSpace, "base_walls", no_wall_work)
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{}|1\n{}|a\n{}|ab\n")
+        # 8 admits the Z/2 table check (2**3 triples) but not the 3 * 3 matrix.
+        code, out, err = run(capsys, "--cap", "8", "cnd", "--sample", str(sample))
+        assert (code, out) == (2, "")
+        assert "distance matrix of 3 elements would enumerate 9 elements, above the cap" in err
+
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
     def test_non_finite_or_non_positive_tolerance_exits_two(self, capsys, tmp_path, tol):
         sample = tmp_path / "sample.txt"
@@ -304,18 +333,12 @@ class TestErrorsAndDeterminism:
     def test_large_radius_is_refused_quickly(self, argv):
         # The exact box and ball sizes here have thousands of digits (or a
         # 10**20 exponent); the refusal must come from a cheap bound.
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        result = subprocess.run(
-            [sys.executable, "-m", "wreathwalls", *argv],
-            capture_output=True,
-            text=True,
-            timeout=5,
-            env={**os.environ, "PYTHONPATH": path},
-        )
-        assert result.returncode == 2
-        assert result.stdout == ""
-        assert "above the cap" in result.stderr
+        assert_refused_within_five_seconds(argv)
+
+    def test_large_lamp_order_is_refused_quickly(self):
+        # Building and verifying this table would take 4,000,000 entries and
+        # 8 * 10**9 associativity checks.
+        assert_refused_within_five_seconds(["--lamp-order", "2000", "mul", "{}|1", "{}|1"])
 
     def test_bad_lamp_order_exits_two(self, capsys):
         code, _, err = run(capsys, "--lamp-order", "1", "dist", "{}|1", "{}|1")

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from wreathwalls import (
+    CapExceededError,
     CndReport,
     WreathWallSpace,
     cnd_check,
@@ -42,6 +43,12 @@ class TestDistanceMatrix:
             distance_matrix(sp, [])
         with pytest.raises(ValueError):
             distance_matrix(sp, sample(["{}|a", "{}|a"]))
+
+    def test_refuses_above_cap_before_allocating(self):
+        sp = WreathWallSpace(z2(), 2, cap=3)
+        with pytest.raises(CapExceededError) as info:
+            distance_matrix(sp, sample(["{}|1", "{}|a"]))
+        assert info.value.predicted == 4
 
     def test_validate_sample_accepts_distinct_elements(self):
         validate_sample(sample(["{}|1", "{1:1}|1"]))

@@ -132,19 +132,6 @@ class TestLampConfig:
         assert c.pointwise_mul(c.inverse()).is_empty
         assert c.inverse().pointwise_mul(c).is_empty
 
-    def test_left_difference_is_supported_on_disagreements(self):
-        rng = random.Random(3)
-        for _ in range(200):
-            c1 = random_config(rng, z3(), 2, 3, 3)
-            c2 = random_config(rng, z3(), 2, 3, 3)
-            diff = c1.left_difference(c2)
-            expected = {
-                p
-                for p in set(c1.support) | set(c2.support)
-                if c1.value_at(p) != c2.value_at(p)
-            }
-            assert set(diff.support) == expected
-
     def test_shift_moves_support(self):
         c = config([("b", 1)], z2())
         assert c.shifted(word("a")).support == (word("ab"),)

@@ -1,10 +1,12 @@
 """Property-based oracle checks: the closed-form wall count against its enumerations.
 
 Hypothesis draws a lamp group (Z/2, Z/3 or S3), a rank from 1 to 3, and
-elements or samples in that group. The closed form ``wall_distance`` must
-agree with both directed enumerations and with the brute-force search, the
-one-element ``sample_walls`` with the pairwise union of directed walls, and
-the Hamming distance of the wall coordinates with the distance matrix.
+words, elements or samples. The n-point ``separating_tree_walls`` and
+``base_walls`` must equal the union of their pairwise calls, the closed form
+``wall_distance`` must agree with both directed enumerations and with the
+brute-force search, ``sample_walls`` with the pairwise union of directed
+walls, and the wall coordinates with per-cell membership and, by Hamming
+distance, with the distance matrix.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from wreathwalls import (
     distance_matrix,
     hamming_distances,
     sample_walls,
+    separating_tree_walls,
     wall_coordinates,
 )
 
@@ -56,6 +59,16 @@ def samples(draw, min_size: int):
 
 
 @settings(deadline=None, max_examples=200)
+@given(st.integers(1, 3).flatmap(lambda rank: st.lists(words(rank, 5), max_size=6)))
+def test_separating_tree_walls_equal_pairwise_union(points):
+    union = set()
+    for x in points:
+        for y in points:
+            union.update(separating_tree_walls(x, y))
+    assert separating_tree_walls(*points) == tuple(sorted(union, key=lambda w: w.sort_key()))
+
+
+@settings(deadline=None, max_examples=200)
 @given(pairs(max_len=5))
 def test_closed_form_equals_both_directed_counts(case):
     space, a, b = case
@@ -80,11 +93,13 @@ def test_closed_form_equals_brute_force(case):
 @given(samples(min_size=0))
 def test_sample_walls_equal_pairwise_directed_union(case):
     space, sample = case
-    union = set()
+    union, edges = set(), set()
     for i in range(len(sample)):
         for j in range(i + 1, len(sample)):
             union.update(space.directed_separating_walls(sample[i], sample[j]))
             union.update(space.directed_separating_walls(sample[j], sample[i]))
+            edges.update(space.base_walls(sample[i], sample[j]))
+    assert space.base_walls(*sample) == tuple(sorted(edges, key=lambda w: w.sort_key()))
     walls = sample_walls(space, sample)
     assert walls == sorted(union, key=lambda w: w.sort_key())
     assert len(set(walls)) == len(walls)
@@ -94,5 +109,7 @@ def test_sample_walls_equal_pairwise_directed_union(case):
 @given(samples(min_size=1))
 def test_hamming_of_coordinates_equals_distance_matrix(case):
     space, sample = case
-    _, coordinates = wall_coordinates(space, sample)
+    walls, coordinates = wall_coordinates(space, sample)
+    membership = [[int(wall.contains(x)) for wall in walls] for x in sample]
+    assert coordinates.tolist() == membership
     assert np.array_equal(hamming_distances(coordinates), distance_matrix(space, sample))
