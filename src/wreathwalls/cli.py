@@ -28,7 +28,7 @@ from .embedding import (
     wall_coordinates,
 )
 from .grammar import ParseError, load_lamp_table, load_sample_file, parse_element
-from .groups import DEFAULT_CAP, CapExceededError, LampGroup
+from .groups import DEFAULT_CAP, CapExceededError, LampGroup, check_table_order
 from .wreath_walls import SublevelReport, WreathHalfSpace, WreathWallSpace
 
 
@@ -115,12 +115,10 @@ def _session(args: argparse.Namespace) -> SessionConfig:
     if args.cap < 1:
         raise ValueError(f"cap must be >= 1, got {args.cap}")
     if args.lamp_table is not None:
-        lamps = load_lamp_table(args.lamp_table)
+        lamps = load_lamp_table(args.lamp_table, args.cap)
     else:
         order = args.lamp_order if args.lamp_order is not None else 2
-        # The table is verified over all order**3 triples when it is built.
-        if order >= 2 and order**3 > args.cap:
-            raise CapExceededError(order**3, args.cap, f"lamp table check of order {order}")
+        check_table_order(order, args.cap)
         lamps = LampGroup.cyclic(order)
     check_tolerance(args.tol)
     return SessionConfig(rank=args.rank, lamps=lamps, cap=args.cap, fmt=args.fmt, tol=args.tol)

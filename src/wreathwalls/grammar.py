@@ -19,7 +19,15 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .groups import LampConfig, LampGroup, ReducedWord, WreathElement, check_rank
+from .groups import (
+    DEFAULT_CAP,
+    LampConfig,
+    LampGroup,
+    ReducedWord,
+    WreathElement,
+    check_rank,
+    check_table_order,
+)
 
 
 class ParseError(ValueError):
@@ -151,8 +159,12 @@ def load_sample_file(path: str | Path, lamps: LampGroup, rank: int) -> list[Wrea
 # -- lamp table files ---------------------------------------------------------
 
 
-def parse_lamp_table(text: str) -> LampGroup:
-    """Parse a lamp table: line ``order k`` then k rows of k ids."""
+def parse_lamp_table(text: str, cap: int = DEFAULT_CAP) -> LampGroup:
+    """Parse a lamp table: line ``order k`` then k rows of k ids.
+
+    Refuses from the header, before reading the rows, when the table's
+    ``k**3`` associativity checks would exceed ``cap``.
+    """
     lines = [line.strip() for line in text.splitlines() if line.strip()]
     if not lines:
         raise ValueError("empty lamp table")
@@ -160,6 +172,7 @@ def parse_lamp_table(text: str) -> LampGroup:
     if len(header) != 2 or header[0] != "order" or not header[1].isdigit():
         raise ValueError(f"lamp table must start with 'order k', got {lines[0]!r}")
     order = int(header[1])
+    check_table_order(order, cap)
     if len(lines) - 1 != order:
         raise ValueError(f"expected {order} table rows, got {len(lines) - 1}")
     table = []
@@ -173,8 +186,8 @@ def parse_lamp_table(text: str) -> LampGroup:
     return LampGroup(table)
 
 
-def load_lamp_table(path: str | Path) -> LampGroup:
-    return parse_lamp_table(Path(path).read_text())
+def load_lamp_table(path: str | Path, cap: int = DEFAULT_CAP) -> LampGroup:
+    return parse_lamp_table(Path(path).read_text(), cap)
 
 
 def format_lamp_table(lamps: LampGroup) -> str:

@@ -50,6 +50,12 @@ def capped_power(base: int, exponent: int, cap: int) -> int | None:
     return base**exponent
 
 
+def check_table_order(order: int, cap: int) -> None:
+    """Refuse a lamp table whose order**3 associativity checks would exceed ``cap``."""
+    if order >= 2 and order**3 > cap:
+        raise CapExceededError(order**3, cap, f"lamp table check of order {order}")
+
+
 def check_rank(rank: int) -> None:
     """Reject a free-group rank outside 1..MAX_RANK (one letter pair per rank)."""
     if not 1 <= rank <= MAX_RANK:

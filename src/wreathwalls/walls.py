@@ -75,21 +75,28 @@ class TreeHalfSpace:
         return f"{self.side.value}({self.wall.deep})"
 
 
-def separating_tree_walls(*words: ReducedWord) -> tuple[TreeWall, ...]:
-    """The walls separating some two of the words: the edges of the subtree they span.
+def spanned_edges(*words: ReducedWord) -> set[tuple[int, ...]]:
+    """The deep endpoints, as letter tuples, of the edges of the subtree the words span.
 
     They are the words' prefixes longer than their longest common prefix, the
     one the lexicographically least and greatest words share. Two words x and
-    y give the ``len(x.inverse() * y)`` edges of their geodesic. Returned
-    sorted by deep endpoint.
+    y give the ``len(x.inverse() * y)`` edges of their geodesic.
+    """
+    if not words:
+        return set()
+    least, greatest = min(w.letters for w in words), max(w.letters for w in words)
+    common = next((i for i, (p, q) in enumerate(zip(least, greatest)) if p != q), len(least))
+    return {w.letters[:i] for w in words for i in range(common + 1, len(w.letters) + 1)}
+
+
+def separating_tree_walls(*words: ReducedWord) -> tuple[TreeWall, ...]:
+    """The walls separating some two of the words: the :func:`spanned_edges`.
+
+    Returned sorted by deep endpoint.
     """
     if len({w.rank for w in words}) > 1:
         raise ValueError(f"rank mismatch: {sorted({w.rank for w in words})}")
-    if not words:
-        return ()
-    least, greatest = min(w.letters for w in words), max(w.letters for w in words)
-    common = next((i for i, (p, q) in enumerate(zip(least, greatest)) if p != q), len(least))
-    deeps = {w.letters[:i] for w in words for i in range(common + 1, len(w.letters) + 1)}
+    deeps = spanned_edges(*words)
     walls = [TreeWall(ReducedWord(letters, words[0].rank)) for letters in deeps]
     walls.sort(key=TreeWall.sort_key)
     return tuple(walls)

@@ -36,6 +36,7 @@ from .walls import (
     TreeWall,
     separating_tree_walls,
     side_containing,
+    spanned_edges,
     translate_half_space,
 )
 
@@ -133,6 +134,13 @@ class WreathWallSpace:
 
     # -- separating walls ---------------------------------------------------
 
+    def _spanning_words(self, elements: tuple[WreathElement, ...]) -> list[ReducedWord]:
+        """Each position, and each site where a lamp configuration disagrees with the first."""
+        self._check_elements(*elements)
+        first = set(elements[0].lamps.entries) if elements else set()
+        sites = {p for x in elements[1:] for p, _ in first.symmetric_difference(x.lamps.entries)}
+        return [*(x.position for x in elements), *sites]
+
     def base_walls(self, *elements: WreathElement) -> tuple[TreeWall, ...]:
         """The base walls carrying a wall between some two of the elements.
 
@@ -141,10 +149,7 @@ class WreathWallSpace:
         with the first; any other base wall has all the elements on one side
         with equal lamps beyond it. Sorted by deep endpoint.
         """
-        self._check_elements(*elements)
-        first = set(elements[0].lamps.entries) if elements else set()
-        sites = {p for x in elements[1:] for p, _ in first.symmetric_difference(x.lamps.entries)}
-        return separating_tree_walls(*(x.position for x in elements), *sites)
+        return separating_tree_walls(*self._spanning_words(elements))
 
     def directed_separating_walls(
         self, inside: WreathElement, outside: WreathElement
@@ -171,7 +176,7 @@ class WreathWallSpace:
         Every base wall between the two carries exactly one separating wall
         in each direction, so the count is twice the number of base walls.
         """
-        return 2 * len(self.base_walls(a, b))
+        return 2 * len(spanned_edges(*self._spanning_words((a, b))))
 
     # -- group action -------------------------------------------------------
 
@@ -218,6 +223,11 @@ class WreathWallSpace:
         which confines all separating walls (and, with the margin, witnesses
         that none live just outside).
 
+        Membership is tested by the definition on plain entry tuples: each
+        word occurring in a or b is classified once per edge as in or out of
+        its cone. A kept wall is built as a :class:`WreathHalfSpace` and
+        confirmed through :meth:`WreathHalfSpace.contains`.
+
         With ``decoration_sweep`` every decoration supported in the ball is
         tried instead of just the two restrictions; this validates that no
         other decoration can separate, at the cost of a much larger sweep.
@@ -229,40 +239,53 @@ class WreathWallSpace:
                 f"oracle radius {radius} too small: need >= {required} to confine all walls"
             )
         ball = free_ball(self.rank, radius, self.cap)
-        found: set[WreathHalfSpace] = set()
+        occurring = {w.letters for x in (a, b) for w in (x.position, *x.lamps.support)}
+        sites_a = [(p.letters, (p, v)) for p, v in a.lamps.entries]
+        sites_b = [(p.letters, (p, v)) for p, v in b.lamps.entries]
+        found: list[WreathHalfSpace] = []
         for deep in ball:
-            if deep.is_identity:
+            prefix = deep.letters
+            if not prefix:
                 continue
+            cone = {w for w in occurring if w[: len(prefix)] == prefix}
             for side in (Side.CONE, Side.COCONE):
-                base_side = TreeHalfSpace(TreeWall(deep), side)
-                candidates = self._candidate_decorations(
-                    base_side, a, b, ball, decoration_sweep
-                )
+                inside = side is Side.CONE
+                on_side_a = (a.position.letters in cone) == inside
+                on_side_b = (b.position.letters in cone) == inside
+                beyond_a = tuple(e for w, e in sites_a if (w in cone) != inside)
+                beyond_b = tuple(e for w, e in sites_b if (w in cone) != inside)
+                if decoration_sweep:
+                    candidates = self._swept_decorations(ball, deep, inside)
+                elif beyond_a == beyond_b:
+                    candidates = (beyond_a,)
+                else:
+                    candidates = (beyond_a, beyond_b)
                 for decoration in candidates:
-                    half = WreathHalfSpace(base_side, decoration)
-                    if half.contains(a) != half.contains(b):
-                        found.add(half)
+                    in_a = on_side_a and beyond_a == decoration
+                    in_b = on_side_b and beyond_b == decoration
+                    if in_a != in_b:
+                        config = LampConfig(decoration, self.lamps, self.rank)
+                        half = WreathHalfSpace(TreeHalfSpace(TreeWall(deep), side), config)
+                        if half.contains(a) != in_a or half.contains(b) != in_b:
+                            raise RuntimeError(f"oracle membership disagrees with {half}.contains")
+                        found.append(half)
         return tuple(sorted(found, key=WreathHalfSpace.sort_key))
 
-    def _candidate_decorations(
-        self,
-        base_side: TreeHalfSpace,
-        a: WreathElement,
-        b: WreathElement,
-        ball: list[ReducedWord],
-        decoration_sweep: bool,
-    ) -> set[LampConfig]:
-        outside = lambda p: not base_side.contains(p)
-        if not decoration_sweep:
-            return {a.lamps.restrict(outside), b.lamps.restrict(outside)}
-        positions = [p for p in ball if outside(p)]
+    def _swept_decorations(
+        self, ball: list[ReducedWord], deep: ReducedWord, inside: bool
+    ) -> Iterator[tuple[tuple[ReducedWord, int], ...]]:
+        """Entries of every decoration supported in the ball beyond the edge at ``deep``.
+
+        Refuses above the cap before yielding any.
+        """
+        positions = [p for p in ball if (p.letters[: len(deep)] == deep.letters) != inside]
         predicted = capped_power(self.lamps.order, len(positions), self.cap)
         if predicted is None or predicted > self.cap:
             raise CapExceededError(predicted, self.cap, "decoration sweep")
-        configs: set[LampConfig] = set()
-        for values in itertools.product(self.lamps.elements(), repeat=len(positions)):
-            configs.add(LampConfig.from_pairs(zip(positions, values), self.lamps, self.rank))
-        return configs
+        return (
+            tuple((p, v) for p, v in zip(positions, values) if v)
+            for values in itertools.product(self.lamps.elements(), repeat=len(positions))
+        )
 
     # -- properness ---------------------------------------------------------
 

@@ -36,6 +36,7 @@ def assert_refused_within_five_seconds(argv):
     assert result.returncode == 2
     assert result.stdout == ""
     assert "above the cap" in result.stderr
+    return result.stderr
 
 
 class TestArithmeticCommands:
@@ -339,6 +340,15 @@ class TestErrorsAndDeterminism:
         # Building and verifying this table would take 4,000,000 entries and
         # 8 * 10**9 associativity checks.
         assert_refused_within_five_seconds(["--lamp-order", "2000", "mul", "{}|1", "{}|1"])
+
+    def test_large_lamp_table_is_refused_quickly(self, tmp_path):
+        # The k**3 associativity check of this 300-row file is refused from its header.
+        table = tmp_path / "z300.txt"
+        rows = (" ".join(str((i + j) % 300) for j in range(300)) for i in range(300))
+        table.write_text("order 300\n" + "\n".join(rows) + "\n")
+        argv = ["--lamp-table", str(table), "mul", "{}|1", "{}|1"]
+        err = assert_refused_within_five_seconds(argv)
+        assert "lamp table check of order 300 would enumerate 27000000 elements" in err
 
     def test_bad_lamp_order_exits_two(self, capsys):
         code, _, err = run(capsys, "--lamp-order", "1", "dist", "{}|1", "{}|1")

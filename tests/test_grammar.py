@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from wreathwalls import LampGroup
+from wreathwalls import CapExceededError, LampGroup
 from wreathwalls.grammar import (
     ParseError,
     format_lamp_table,
@@ -167,6 +167,14 @@ class TestLampTables:
     def test_rejects_non_group_tables(self):
         with pytest.raises(ValueError):
             parse_lamp_table("order 2\n0 1\n1 1\n")
+
+    def test_refuses_above_cap_from_the_header(self):
+        # Only the header is present: the refusal must come before the row count check.
+        with pytest.raises(CapExceededError, match="lamp table check of order 300"):
+            parse_lamp_table("order 300\n")
+        with pytest.raises(CapExceededError):
+            parse_lamp_table(format_lamp_table(s3()), cap=215)
+        assert parse_lamp_table(format_lamp_table(s3()), cap=216) == s3()
 
     def test_load_lamp_table(self, tmp_path):
         path = tmp_path / "table.txt"

@@ -6,10 +6,14 @@ words, elements or samples. The n-point ``separating_tree_walls`` and
 ``wall_distance`` must agree with both directed enumerations and with the
 brute-force search, ``sample_walls`` with the pairwise union of directed
 walls, and the wall coordinates with per-cell membership and, by Hamming
-distance, with the distance matrix.
+distance, with the distance matrix. The brute-force search itself must equal
+a plain reference sweep, the wall distance must be left-invariant, and the
+left action on half-spaces must be equivariant.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 from hypothesis import given, settings
@@ -18,9 +22,14 @@ from hypothesis import strategies as st
 from wreathwalls import (
     LampConfig,
     ReducedWord,
+    Side,
+    TreeHalfSpace,
+    TreeWall,
     WreathElement,
+    WreathHalfSpace,
     WreathWallSpace,
     distance_matrix,
+    free_ball,
     hamming_distances,
     sample_walls,
     separating_tree_walls,
@@ -45,10 +54,10 @@ def elements(lamps, rank: int, max_len: int) -> st.SearchStrategy[WreathElement]
 
 
 @st.composite
-def pairs(draw, max_len: int):
-    lamps, rank = draw(st.sampled_from(LAMPS)), draw(st.integers(1, 3))
+def element_tuples(draw, count: int, max_len: int, max_rank: int = 3):
+    lamps, rank = draw(st.sampled_from(LAMPS)), draw(st.integers(1, max_rank))
     element = elements(lamps, rank, max_len)
-    return WreathWallSpace(lamps, rank), draw(element), draw(element)
+    return (WreathWallSpace(lamps, rank), *(draw(element) for _ in range(count)))
 
 
 @st.composite
@@ -69,7 +78,7 @@ def test_separating_tree_walls_equal_pairwise_union(points):
 
 
 @settings(deadline=None, max_examples=200)
-@given(pairs(max_len=5))
+@given(element_tuples(2, max_len=5))
 def test_closed_form_equals_both_directed_counts(case):
     space, a, b = case
     forward = space.directed_separating_walls(a, b)
@@ -80,13 +89,70 @@ def test_closed_form_equals_both_directed_counts(case):
 
 
 @settings(deadline=None, max_examples=40)
-@given(pairs(max_len=2))
+@given(element_tuples(2, max_len=2))
 def test_closed_form_equals_brute_force(case):
     space, a, b = case
     brute = space.brute_force_separating(a, b, space.oracle_radius(a, b))
     assert space.wall_distance(a, b) == len(brute)
     fast = set(space.directed_separating_walls(a, b)) | set(space.directed_separating_walls(b, a))
     assert fast == set(brute)
+
+
+def reference_brute_force(space, a, b, radius, decoration_sweep=False):
+    """The sweep before per-edge classification: restrict per candidate, test with contains."""
+    ball = free_ball(space.rank, radius, space.cap)
+    found = set()
+    for deep in ball[1:]:
+        for side in (Side.CONE, Side.COCONE):
+            base = TreeHalfSpace(TreeWall(deep), side)
+            outside = lambda p: not base.contains(p)
+            if decoration_sweep:
+                positions = [p for p in ball if outside(p)]
+                candidates = {
+                    LampConfig.from_pairs(zip(positions, values), space.lamps, space.rank)
+                    for values in itertools.product(space.lamps.elements(), repeat=len(positions))
+                }
+            else:
+                candidates = {a.lamps.restrict(outside), b.lamps.restrict(outside)}
+            for decoration in candidates:
+                half = WreathHalfSpace(base, decoration)
+                if half.contains(a) != half.contains(b):
+                    found.add(half)
+    return tuple(sorted(found, key=WreathHalfSpace.sort_key))
+
+
+@settings(deadline=None, max_examples=40)
+@given(element_tuples(2, max_len=2))
+def test_brute_force_equals_reference_sweep(case):
+    space, a, b = case
+    radius = space.oracle_radius(a, b)
+    assert space.brute_force_separating(a, b, radius) == reference_brute_force(space, a, b, radius)
+
+
+@settings(deadline=None, max_examples=20)
+@given(element_tuples(2, max_len=1, max_rank=1))
+def test_decoration_sweep_equals_reference_sweep(case):
+    # Rank 1 at radius 2 keeps every sweep within a few thousand decorations.
+    space, a, b = case
+    swept = space.brute_force_separating(a, b, 2, decoration_sweep=True)
+    assert swept == reference_brute_force(space, a, b, 2, decoration_sweep=True)
+
+
+@settings(deadline=None, max_examples=100)
+@given(element_tuples(3, max_len=4))
+def test_wall_distance_is_left_invariant(case):
+    space, g, a, b = case
+    assert space.wall_distance(g * a, g * b) == space.wall_distance(a, b)
+
+
+@settings(deadline=None, max_examples=100)
+@given(element_tuples(4, max_len=3))
+def test_translation_is_equivariant(case):
+    space, g, a, b, x = case
+    for half in space.directed_separating_walls(a, b):
+        moved = space.translate(g, half)
+        for y in (a, b, x):
+            assert moved.contains(g * y) == half.contains(y)
 
 
 @settings(deadline=None, max_examples=60)

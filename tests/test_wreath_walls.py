@@ -190,6 +190,13 @@ class TestWallDistance:
             swept = set(sp.brute_force_separating(a, b, radius=2, decoration_sweep=True))
             assert plain == swept
 
+    def test_decoration_sweep_refuses_above_cap(self):
+        # Outside the cone of ``a`` lie 13 of the 17 words in the radius-2 ball: 2**13 decorations.
+        sp = WreathWallSpace(z2(), rank=2, cap=1000)
+        one = sp.identity()
+        with pytest.raises(CapExceededError, match="decoration sweep would enumerate 8192"):
+            sp.brute_force_separating(one, one, radius=2, decoration_sweep=True)
+
     def test_oracle_rejects_too_small_radius(self):
         sp = space()
         with pytest.raises(ValueError):
