@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -257,17 +257,7 @@ def _cmd_proper(cfg: SessionConfig, args: argparse.Namespace) -> int:
 def _cmd_growth(cfg: SessionConfig, args: argparse.Namespace) -> int:
     rows = growth_table(cfg.space(), args.radius)
     if cfg.fmt == "json":
-        _emit_json(
-            [
-                {
-                    "radius": row.radius,
-                    "sphere_size": row.sphere_size,
-                    "min_wall": row.min_wall,
-                    "max_wall": row.max_wall,
-                }
-                for row in rows
-            ]
-        )
+        _emit_json([asdict(row) for row in rows])
     elif cfg.fmt == "csv":
         print("radius,sphere_size,min_wall,max_wall")
         for row in rows:

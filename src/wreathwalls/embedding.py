@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import CapExceededError, LampConfig, ReducedWord, WreathElement
+from .groups import CapExceededError, WreathElement
 from .wreath_walls import WreathHalfSpace, WreathWallSpace
 
 
@@ -101,10 +101,14 @@ def hamming_distances(coordinates: np.ndarray) -> np.ndarray:
     """Pairwise Hamming distances of 0/1 rows, exact in integers.
 
     Uses |x| + |y| - 2<x, y>, so the work is one n x n Gram product rather
-    than an n x n x walls comparison.
+    than an n x n x walls comparison. It runs in float64, where numpy uses
+    BLAS, exact while its partial sums (at most the column count) stay below 2**53.
     """
+    if coordinates.shape[1] >= 2**53:
+        raise ValueError(f"{coordinates.shape[1]} columns exceed the exact float64 range 2**53")
     ones = coordinates.sum(axis=1)
-    return ones[:, None] + ones[None, :] - 2 * (coordinates @ coordinates.T)
+    real = coordinates.astype(np.float64)
+    return ones[:, None] + ones[None, :] - 2 * (real @ real.T).astype(np.int64)
 
 
 @dataclass(frozen=True)
@@ -163,54 +167,54 @@ class GrowthRow:
     max_wall: int
 
 
-def _standard_generators(space: WreathWallSpace) -> list[WreathElement]:
-    """Tree generators and their inverses, plus one lamp move per nontrivial value."""
-    identity_word = ReducedWord.identity(space.rank)
-    empty = LampConfig.empty(space.lamps, space.rank)
-    moves = []
-    for index in range(1, space.rank + 1):
-        for letter in (index, -index):
-            moves.append(WreathElement(empty, ReducedWord((letter,), space.rank)))
-    for value in space.lamps.nontrivial_elements():
-        config = LampConfig.from_pairs([(identity_word, value)], space.lamps, space.rank)
-        moves.append(WreathElement(config, identity_word))
-    return moves
+def _series_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Product of two series truncated at the z-degree of ``a`` (see :func:`growth_table`)."""
+    out = [[0] * len(row) for row in a]
+    for i, row_a in enumerate(a):
+        for k, row_b in enumerate(b[: len(a) - i]):
+            for j, x in enumerate(row_a):
+                for l, y in enumerate(row_b if x else ()):
+                    out[i + k][j + l] += x * y
+    return out
+
+
+def _series_power(a: list[list[int]], exponent: int, one: list[list[int]]) -> list[list[int]]:
+    result = one
+    for bit in bin(exponent)[2:]:
+        result = _series_mul(result, result)
+        result = _series_mul(result, a) if bit == "1" else result
+    return result
 
 
 def growth_table(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
     """Min/max wall distance to the identity on each word-metric sphere.
 
-    Spheres are taken in the word metric of the wreath product over the
-    standard generators (tree generators plus lamp moves at the identity),
-    built by breadth-first search. Properness shows up as the minimum
-    climbing without bound as the radius grows.
+    Spheres over the standard generators, counted by word length ``z`` and spanned
+    base edges ``e``; a series lists row ``i`` as its ``z^i e^j`` coefficients. With
+    ``h`` lamps, ``V_k = (1 + (h-1) z)(1 + G)^k`` and ``G = z^2 e (V_(2n-1) - 1)``
+    (README, "Growth series"), the spheres are
+    ``V_2n + sum_(m>=1) 2n (2n-1)^(m-1) (ze)^m V_(2n-1)^2 V_(2n-2)^(m-1)``.
+    Refuses exactly when the ball exceeds the cap: from the bound
+    ``2 ** (radius // 2)`` (lamp patterns along one ray), else from its size.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    generators = _standard_generators(space)
-    identity = space.identity()
-    spheres: list[list[WreathElement]] = [[identity]]
-    visited: set[WreathElement] = {identity}
+    if radius // 2 >= space.cap.bit_length():
+        raise CapExceededError(None, space.cap, "growth enumeration")
+    one = [[1]] + [[0] * (i + 1) for i in range(1, radius + 1)]
+    lamp = _series_mul(one, [[1], [space.lamps.order - 1, 0]])
+    slot = one  # 1 + G, where G = z^2 e (V_(2n-1) - 1)
+    for _ in range(radius // 2 + 1):  # each pass fixes two more z-degrees of G
+        inner = _series_mul(lamp, _series_power(slot, 2 * space.rank - 2, one))  # V_(2n-2)
+        end = _series_mul(inner, slot)  # V_(2n-1)
+        slot = [[1]] + _series_mul([[0]] + end[1:], [[0], [0, 0], [0, 1, 0]])[1:]
+    spheres = _series_mul(end, slot)
+    path = _series_mul(_series_mul(end, end), [[0], [0, 2 * space.rank]])  # the m = 1 term
     for _ in range(radius):
-        frontier: list[WreathElement] = []
-        for element in spheres[-1]:
-            for move in generators:
-                neighbor = element * move
-                if neighbor not in visited:
-                    visited.add(neighbor)
-                    frontier.append(neighbor)
-            if len(visited) > space.cap:
-                raise CapExceededError(len(visited), space.cap, "growth enumeration")
-        spheres.append(frontier)
-    rows = []
-    for r, sphere in enumerate(spheres):
-        distances = [space.wall_distance(identity, element) for element in sphere]
-        rows.append(
-            GrowthRow(
-                radius=r,
-                sphere_size=len(sphere),
-                min_wall=min(distances),
-                max_wall=max(distances),
-            )
-        )
-    return rows
+        spheres = [[x + y for x, y in zip(p, q)] for p, q in zip(spheres, path)]
+        path = _series_mul(_series_mul(path, inner), [[0], [0, 2 * space.rank - 1]])
+    ball = sum(map(sum, spheres))
+    if ball > space.cap:
+        raise CapExceededError(ball, space.cap, "growth enumeration")
+    edges = [[j for j, count in enumerate(sphere) if count] for sphere in spheres]
+    return [GrowthRow(r, sum(spheres[r]), 2 * e[0], 2 * e[-1]) for r, e in enumerate(edges)]

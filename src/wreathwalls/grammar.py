@@ -17,6 +17,7 @@ literal per line; ``#`` starts a comment and blank lines are skipped.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from pathlib import Path
 
 from .groups import (
@@ -165,18 +166,24 @@ def parse_lamp_table(text: str, cap: int = DEFAULT_CAP) -> LampGroup:
     Refuses from the header, before reading the rows, when the table's
     ``k**3`` associativity checks would exceed ``cap``.
     """
-    lines = [line.strip() for line in text.splitlines() if line.strip()]
-    if not lines:
+    return _parse_table_lines(text.splitlines(), cap)
+
+
+def _parse_table_lines(lines: Iterable[str], cap: int) -> LampGroup:
+    kept = (line.strip() for line in lines if line.strip())
+    first = next(kept, None)
+    if first is None:
         raise ValueError("empty lamp table")
-    header = lines[0].split()
+    header = first.split()
     if len(header) != 2 or header[0] != "order" or not header[1].isdigit():
-        raise ValueError(f"lamp table must start with 'order k', got {lines[0]!r}")
+        raise ValueError(f"lamp table must start with 'order k', got {first!r}")
     order = int(header[1])
     check_table_order(order, cap)
-    if len(lines) - 1 != order:
-        raise ValueError(f"expected {order} table rows, got {len(lines) - 1}")
+    rows = list(kept)
+    if len(rows) != order:
+        raise ValueError(f"expected {order} table rows, got {len(rows)}")
     table = []
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(rows, start=2):
         fields = line.split()
         try:
             row = [int(field) for field in fields]
@@ -187,7 +194,9 @@ def parse_lamp_table(text: str, cap: int = DEFAULT_CAP) -> LampGroup:
 
 
 def load_lamp_table(path: str | Path, cap: int = DEFAULT_CAP) -> LampGroup:
-    return parse_lamp_table(Path(path).read_text(), cap)
+    """:func:`parse_lamp_table` line by line; undecodable bytes fail as lone surrogates."""
+    with open(path, errors="surrogateescape") as handle:
+        return _parse_table_lines(handle, cap)
 
 
 def format_lamp_table(lamps: LampGroup) -> str:

@@ -290,9 +290,6 @@ class LampGroup:
     def elements(self) -> range:
         return range(self.order)
 
-    def nontrivial_elements(self) -> range:
-        return range(1, self.order)
-
     @property
     def table(self) -> tuple[tuple[int, ...], ...]:
         return self._table

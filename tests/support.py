@@ -5,7 +5,17 @@ from __future__ import annotations
 import itertools
 import random
 
-from wreathwalls import LampConfig, LampGroup, ReducedWord, Side, TreeHalfSpace, TreeWall, WreathElement
+from wreathwalls import (
+    GrowthRow,
+    LampConfig,
+    LampGroup,
+    ReducedWord,
+    Side,
+    TreeHalfSpace,
+    TreeWall,
+    WreathElement,
+    WreathWallSpace,
+)
 from wreathwalls.wreath_walls import WreathHalfSpace
 
 
@@ -50,6 +60,47 @@ def brute_ball(rank: int, radius: int) -> set[tuple[int, ...]]:
         for raw in itertools.product(alphabet, repeat=length):
             out.add(naive_reduce(raw))
     return out
+
+
+def standard_generators(space: WreathWallSpace) -> list[WreathElement]:
+    """Tree generators and their inverses, plus one lamp move per nontrivial value."""
+    identity_word = ReducedWord.identity(space.rank)
+    empty = LampConfig.empty(space.lamps, space.rank)
+    moves = []
+    for index in range(1, space.rank + 1):
+        for letter in (index, -index):
+            moves.append(WreathElement(empty, ReducedWord((letter,), space.rank)))
+    for value in range(1, space.lamps.order):
+        config = LampConfig.from_pairs([(identity_word, value)], space.lamps, space.rank)
+        moves.append(WreathElement(config, identity_word))
+    return moves
+
+
+def bfs_spheres(space: WreathWallSpace, radius: int) -> list[list[WreathElement]]:
+    """Word-metric spheres of radius 0..radius, by breadth-first search in the wreath product."""
+    generators = standard_generators(space)
+    identity = space.identity()
+    spheres = [[identity]]
+    visited = {identity}
+    for _ in range(radius):
+        frontier = []
+        for element in spheres[-1]:
+            for move in generators:
+                neighbor = element * move
+                if neighbor not in visited:
+                    visited.add(neighbor)
+                    frontier.append(neighbor)
+        spheres.append(frontier)
+    return spheres
+
+
+def bfs_growth_rows(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
+    """The growth table by enumeration: the oracle for ``growth_table``."""
+    identity, rows = space.identity(), []
+    for r, sphere in enumerate(bfs_spheres(space, radius)):
+        distances = [space.wall_distance(identity, element) for element in sphere]
+        rows.append(GrowthRow(r, len(sphere), min(distances), max(distances)))
+    return rows
 
 
 def compose_permutations(p, q):

@@ -179,6 +179,20 @@ class TestGrowthCommand:
         assert lines[0].split() == ["radius", "sphere_size", "min_wall", "max_wall"]
         assert lines[1].split() == ["0", "1", "0", "0"]
 
+    def test_cap_boundary_is_the_ball_size(self, capsys):
+        # The radius-3 ball of Z/2 wr F_2 has 1 + 5 + 20 + 80 = 106 elements.
+        assert run(capsys, "--cap", "106", "growth", "--radius", "3")[0] == 0
+        code, out, err = run(capsys, "--cap", "105", "growth", "--radius", "3")
+        assert (code, out) == (2, "")
+        assert "growth enumeration would enumerate 106 elements" in err
+
+    def test_depends_on_the_lamp_group_only_through_its_order(self, capsys, tmp_path):
+        table = tmp_path / "s3.txt"
+        table.write_text(format_lamp_table(s3()))
+        by_table = run(capsys, "--lamp-table", str(table), "growth", "--radius", "4")
+        assert by_table[0] == 0
+        assert by_table == run(capsys, "--lamp-order", "6", "growth", "--radius", "4")
+
 
 class TestCndCommand:
     def test_passes_on_sample(self, capsys, tmp_path):
@@ -328,8 +342,9 @@ class TestErrorsAndDeterminism:
             ["--rank", "1", "proper", "--max-wall", "10000"],
             ["proper", "--max-wall", "99999999999999999999"],
             ["--rank", "1", "proper", "--max-wall", "99999999999999999999"],
+            ["growth", "--radius", "100000000000000000000"],
         ],
-        ids=["rank2", "rank1", "rank2-huge", "rank1-huge"],
+        ids=["rank2", "rank1", "rank2-huge", "rank1-huge", "growth-huge"],
     )
     def test_large_radius_is_refused_quickly(self, argv):
         # The exact box and ball sizes here have thousands of digits (or a

@@ -11,6 +11,7 @@ import pytest
 from wreathwalls import (
     CapExceededError,
     CndReport,
+    LampGroup,
     WreathWallSpace,
     cnd_check,
     distance_matrix,
@@ -20,10 +21,10 @@ from wreathwalls import (
     validate_sample,
     wall_coordinates,
 )
-from wreathwalls.embedding import _standard_generators
 from wreathwalls.grammar import parse_element
 
-from support import random_element, s3, z2, z3
+from support import bfs_growth_rows, random_element, s3, z2, z3
+from support import standard_generators as _standard_generators
 
 
 def sample(texts, lamps=None, rank=2):
@@ -126,6 +127,12 @@ class TestWallCoordinates:
         _, coords = wall_coordinates(sp, elements)
         assert np.array_equal(hamming_distances(coords), pairwise(coords))
         assert np.array_equal(hamming_distances(coords), distance_matrix(sp, elements))
+
+    def test_gram_form_refuses_widths_past_float64_exactness(self):
+        # A zero-stride view: 2**53 columns without allocating them.
+        wide = np.broadcast_to(np.zeros((1, 1), dtype=np.int64), (1, 2**53))
+        with pytest.raises(ValueError, match="float64"):
+            hamming_distances(wide)
 
 
 class TestCndCheck:
@@ -243,3 +250,38 @@ class TestGrowthTable:
         sp = WreathWallSpace(z2(), 2)
         with pytest.raises(ValueError):
             growth_table(sp, -1)
+
+    @pytest.mark.parametrize(
+        ("lamps", "rank", "radius"),
+        [(z2(), 1, 9), (z2(), 2, 6), (z2(), 3, 4), (z3(), 1, 8), (z3(), 2, 4), (s3(), 2, 4)],
+        ids=["z2-rank1", "z2-rank2", "z2-rank3", "z3-rank1", "z3-rank2", "s3-rank2"],
+    )
+    def test_series_equals_bfs_oracle(self, lamps, rank, radius):
+        sp = WreathWallSpace(lamps, rank)
+        assert growth_table(sp, radius) == bfs_growth_rows(sp, radius)
+
+    @staticmethod
+    def assert_bilipschitz_constants(rows):
+        # On every sphere r >= 1: min_wall = 2 ceil((r - 1) / 3) and max_wall = 2 r.
+        for row in rows[1:]:
+            assert (row.min_wall, row.max_wall) == (2 * ((row.radius + 1) // 3), 2 * row.radius)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("order", [2, 3, 6])
+    def test_bilipschitz_constants_of_the_series(self, order, rank):
+        sp = WreathWallSpace(LampGroup.cyclic(order), rank, cap=10**40)
+        self.assert_bilipschitz_constants(growth_table(sp, 20))
+
+    @pytest.mark.parametrize(("lamps", "rank"), [(z2(), 1), (z2(), 2), (z3(), 1), (s3(), 1)])
+    def test_bilipschitz_constants_of_the_bfs_oracle(self, lamps, rank):
+        self.assert_bilipschitz_constants(bfs_growth_rows(WreathWallSpace(lamps, rank), 5))
+
+    def test_refusal_predicts_the_exact_ball_or_none(self):
+        # The radius-3 ball of Z/2 wr F_2 has 1 + 5 + 20 + 80 = 106 elements.
+        with pytest.raises(CapExceededError, match="enumerate 106 elements") as info:
+            growth_table(WreathWallSpace(z2(), 2, cap=105), 3)
+        assert info.value.predicted == 106
+        # Past the 2 ** (radius // 2) lower bound the refusal prints no size.
+        with pytest.raises(CapExceededError, match="more than 1000000") as info:
+            growth_table(WreathWallSpace(z2(), 2), 10**20)
+        assert info.value.predicted is None

@@ -181,6 +181,21 @@ class TestLampTables:
         path.write_text(format_lamp_table(s3()))
         assert load_lamp_table(path) == s3()
 
+    def test_load_refuses_from_the_header_before_reading_the_rows(self, tmp_path):
+        # The bytes after the header are not even text; they must never be decoded.
+        path = tmp_path / "table.txt"
+        path.write_bytes(b"order 300\n" + b"\xff" * 4096)
+        with pytest.raises(CapExceededError, match="lamp table check of order 300"):
+            load_lamp_table(path)
+
+    def test_load_reads_crlf_and_rejects_undecodable_rows(self, tmp_path):
+        path = tmp_path / "table.txt"
+        path.write_bytes(b"\n\norder 2\n0 1\n1 \xff\n")
+        with pytest.raises(ValueError, match="integers"):
+            load_lamp_table(path)
+        path.write_bytes(b"\n\norder 2\r\n0 1\r\n1 0\r\n")
+        assert load_lamp_table(path) == LampGroup.cyclic(2)
+
     def test_format_is_loadable_text(self):
         text = format_lamp_table(z3())
         assert text == "order 3\n0 1 2\n1 2 0\n2 0 1\n"

@@ -8,11 +8,14 @@ brute-force search, ``sample_walls`` with the pairwise union of directed
 walls, and the wall coordinates with per-cell membership and, by Hamming
 distance, with the distance matrix. The brute-force search itself must equal
 a plain reference sweep, the wall distance must be left-invariant, and the
-left action on half-spaces must be equivariant.
+left action on half-spaces must be equivariant. On breadth-first word-metric
+spheres, word length must be ``d(1, x) - |pos| + |supp|``: the premise of the
+growth series.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -36,7 +39,7 @@ from wreathwalls import (
     wall_coordinates,
 )
 
-from support import s3, z2, z3
+from support import bfs_spheres, s3, z2, z3
 
 LAMPS = [z2(), z3(), s3()]
 
@@ -179,3 +182,23 @@ def test_hamming_of_coordinates_equals_distance_matrix(case):
     membership = [[int(wall.contains(x)) for wall in walls] for x in sample]
     assert coordinates.tolist() == membership
     assert np.array_equal(hamming_distances(coordinates), distance_matrix(space, sample))
+
+
+# Breadth-first balls of these radii take a fraction of a second for every lamp group.
+SPHERE_RADIUS = {1: 7, 2: 4, 3: 3}
+
+
+@functools.lru_cache(maxsize=None)
+def sphere_oracle(lamp_index: int, rank: int) -> tuple[WreathWallSpace, list[list[WreathElement]]]:
+    space = WreathWallSpace(LAMPS[lamp_index], rank)
+    return space, bfs_spheres(space, SPHERE_RADIUS[rank])
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, len(LAMPS) - 1), st.integers(1, 3), st.data())
+def test_word_length_is_wall_distance_minus_position_plus_support(lamp_index, rank, data):
+    space, spheres = sphere_oracle(lamp_index, rank)
+    radius = data.draw(st.integers(0, len(spheres) - 1), label="radius")
+    identity = space.identity()
+    for x in spheres[radius]:
+        assert radius == space.wall_distance(identity, x) - len(x.position) + len(x.lamps.support)
