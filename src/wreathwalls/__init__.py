@@ -47,7 +47,6 @@ from .walls import (
     TreeHalfSpace,
     TreeWall,
     separating_tree_walls,
-    side_containing,
     translate_half_space,
 )
 from .wreath_walls import SublevelReport, WreathHalfSpace, WreathWallSpace
@@ -88,7 +87,6 @@ __all__ = [
     "predicted_ball_size",
     "sample_walls",
     "separating_tree_walls",
-    "side_containing",
     "translate_half_space",
     "validate_distance_matrix",
     "validate_sample",

@@ -124,11 +124,6 @@ def _session(args: argparse.Namespace) -> SessionConfig:
     return SessionConfig(rank=args.rank, lamps=lamps, cap=args.cap, fmt=args.fmt, tol=args.tol)
 
 
-def _require_text_or_json(cfg: SessionConfig) -> None:
-    if cfg.fmt == "csv":
-        raise ValueError("csv output is not available for this command")
-
-
 def _emit_json(payload) -> None:
     print(json.dumps(payload, sort_keys=True))
 
@@ -141,7 +136,6 @@ def _half_space_dict(half: WreathHalfSpace) -> dict:
 
 
 def _cmd_mul(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    _require_text_or_json(cfg)
     left = parse_element(args.left, cfg.lamps, cfg.rank)
     right = parse_element(args.right, cfg.lamps, cfg.rank)
     product = left * right
@@ -153,7 +147,6 @@ def _cmd_mul(cfg: SessionConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_inv(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    _require_text_or_json(cfg)
     element = parse_element(args.element, cfg.lamps, cfg.rank)
     inverse = element.inverse()
     if cfg.fmt == "json":
@@ -164,7 +157,6 @@ def _cmd_inv(cfg: SessionConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    _require_text_or_json(cfg)
     space = cfg.space()
     first = parse_element(args.first, cfg.lamps, cfg.rank)
     second = parse_element(args.second, cfg.lamps, cfg.rank)
@@ -195,7 +187,6 @@ def _cmd_dist(cfg: SessionConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_walls(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    _require_text_or_json(cfg)
     space = cfg.space()
     first = parse_element(args.first, cfg.lamps, cfg.rank)
     second = parse_element(args.second, cfg.lamps, cfg.rank)
@@ -235,7 +226,6 @@ def _report_dict(report: SublevelReport) -> dict:
 
 
 def _cmd_proper(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    _require_text_or_json(cfg)
     radius = args.radius if args.radius is not None else args.max_wall + 1
     report = cfg.space().sublevel_report(args.max_wall, radius)
     if cfg.fmt == "json":
@@ -270,7 +260,6 @@ def _cmd_growth(cfg: SessionConfig, args: argparse.Namespace) -> int:
 
 
 def _cmd_cnd(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    _require_text_or_json(cfg)
     space = cfg.space()
     elements = load_sample_file(args.sample, cfg.lamps, cfg.rank)
     matrix = distance_matrix(space, elements)
@@ -299,7 +288,6 @@ def _write_int_csv(path: Path, matrix: np.ndarray) -> None:
 
 
 def _cmd_embed(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    _require_text_or_json(cfg)
     space = cfg.space()
     elements = load_sample_file(args.sample, cfg.lamps, cfg.rank)
     matrix = distance_matrix(space, elements)
@@ -344,6 +332,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _session(args)
+        if cfg.fmt == "csv" and args.command != "growth":
+            raise ValueError("csv output is not available for this command")
         return _COMMANDS[args.command](cfg, args)
     except (ParseError, CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

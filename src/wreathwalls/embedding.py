@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .groups import CapExceededError, WreathElement
+from .groups import CapExceededError, WreathElement, predicted_ball_size
 from .wreath_walls import WreathHalfSpace, WreathWallSpace
 
 
@@ -68,12 +68,9 @@ def validate_distance_matrix(matrix: np.ndarray) -> None:
 def sample_walls(space: WreathWallSpace, elements: list[WreathElement]) -> list[WreathHalfSpace]:
     """Every wall separating some pair of sample elements, in canonical order.
 
-    The sample's :meth:`~WreathWallSpace.base_walls` are the edges of one
-    subtree; each element has its wall through each edge.
+    The :meth:`~WreathWallSpace.separating_walls` of the sample, each built once.
     """
-    edges = space.base_walls(*elements)
-    walls = {space.wall_through(edge, element) for element in elements for edge in edges}
-    return sorted(walls, key=WreathHalfSpace.sort_key)
+    return [wall for wall, _ in space.separating_walls(*elements)]
 
 
 def wall_coordinates(
@@ -82,19 +79,17 @@ def wall_coordinates(
     """0/1 wall coordinates realizing the wall distance as Hamming distance.
 
     Marks membership of each element in the positive half of each of the
-    :func:`sample_walls`; over each base edge that is the element's own wall
-    through the edge. Rows of the returned matrix differ in exactly
+    :func:`sample_walls`, as ``uint8``; over each base edge an element is in
+    exactly its own wall. Rows of the returned matrix differ in exactly
     ``wall_distance`` coordinates: walls separating the pair flip, all
     others agree.
     """
     validate_sample(elements)
-    ordered = sample_walls(space, elements)
-    column = {wall: k for k, wall in enumerate(ordered)}
-    edges = {wall.base.wall for wall in ordered}
-    matrix = np.zeros((len(elements), len(ordered)), dtype=np.int64)
-    for i, element in enumerate(elements):
-        matrix[i, [column[space.wall_through(edge, element)] for edge in edges]] = 1
-    return ordered, matrix
+    walls = space.separating_walls(*elements)
+    matrix = np.zeros((len(elements), len(walls)), dtype=np.uint8)
+    for k, (_, rows) in enumerate(walls):
+        matrix[rows, k] = 1
+    return [wall for wall, _ in walls], matrix
 
 
 def hamming_distances(coordinates: np.ndarray) -> np.ndarray:
@@ -106,7 +101,7 @@ def hamming_distances(coordinates: np.ndarray) -> np.ndarray:
     """
     if coordinates.shape[1] >= 2**53:
         raise ValueError(f"{coordinates.shape[1]} columns exceed the exact float64 range 2**53")
-    ones = coordinates.sum(axis=1)
+    ones = coordinates.sum(axis=1, dtype=np.int64)
     real = coordinates.astype(np.float64)
     return ones[:, None] + ones[None, :] - 2 * (real @ real.T).astype(np.int64)
 
@@ -194,12 +189,13 @@ def growth_table(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
     ``h`` lamps, ``V_k = (1 + (h-1) z)(1 + G)^k`` and ``G = z^2 e (V_(2n-1) - 1)``
     (README, "Growth series"), the spheres are
     ``V_2n + sum_(m>=1) 2n (2n-1)^(m-1) (ze)^m V_(2n-1)^2 V_(2n-2)^(m-1)``.
-    Refuses exactly when the ball exceeds the cap: from the bound
-    ``2 ** (radius // 2)`` (lamp patterns along one ray), else from its size.
+    Refuses exactly when the ball exceeds the cap: from the bounds
+    ``2 ** (radius // 2)`` (lamp patterns along one ray) and the free ball
+    (lamp-free elements), else from its size.
     """
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
-    if radius // 2 >= space.cap.bit_length():
+    if radius // 2 >= space.cap.bit_length() or predicted_ball_size(space.rank, radius) > space.cap:
         raise CapExceededError(None, space.cap, "growth enumeration")
     one = [[1]] + [[0] * (i + 1) for i in range(1, radius + 1)]
     lamp = _series_mul(one, [[1], [space.lamps.order - 1, 0]])

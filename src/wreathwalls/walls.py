@@ -102,12 +102,6 @@ def separating_tree_walls(*words: ReducedWord) -> tuple[TreeWall, ...]:
     return tuple(walls)
 
 
-def side_containing(wall: TreeWall, word: ReducedWord) -> TreeHalfSpace:
-    """The half-space of ``wall`` that contains ``word``."""
-    side = Side.CONE if word.starts_with(wall.deep) else Side.COCONE
-    return TreeHalfSpace(wall, side)
-
-
 def translate_half_space(g: ReducedWord, half: TreeHalfSpace) -> TreeHalfSpace:
     """The image of a half-space under left multiplication by g, canonicalized.
 

@@ -7,9 +7,10 @@ half-space when its position lies in A and its lamps, restricted to the
 complement of A, equal the decoration. The walls are the partitions into
 such a half-space and its complement.
 
-:class:`WreathWallSpace` packages the closed-form wall distance, the directed
-enumeration of separating walls, the induced left action on half-spaces, an
-exhaustive brute-force oracle for cross-checking, and the sub-level report.
+:class:`WreathWallSpace` packages the closed-form wall distance, the walls
+separating a sample (and the directed enumeration read off them), the induced
+left action on half-spaces, an exhaustive brute-force oracle for
+cross-checking, and the sub-level report.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .walls import (
     TreeHalfSpace,
     TreeWall,
     separating_tree_walls,
-    side_containing,
     spanned_edges,
     translate_half_space,
 )
@@ -151,6 +151,34 @@ class WreathWallSpace:
         """
         return separating_tree_walls(*self._spanning_words(elements))
 
+    def separating_walls(self, *elements: WreathElement) -> list[tuple[WreathHalfSpace, list[int]]]:
+        """The walls separating some two of the elements, with the indices in each positive half.
+
+        Over each of the :meth:`base_walls`, an element lies in exactly one
+        wall's positive half: its own side, decorated with its lamps beyond
+        the edge. Elements are keyed by that side and those entries, and one
+        half-space is built per distinct key; every key on such an edge
+        separates. Returned in canonical order.
+        """
+        index = list(range(len(elements)))  # one int object per element, shared by every edge
+        positions = [x.position.letters for x in elements]
+        sites = [[(p.letters, (p, v)) for p, v in x.lamps.entries] for x in elements]
+        walls = []
+        for edge in self.base_walls(*elements):
+            deep = edge.deep.letters
+            depth = len(deep)
+            members: dict[tuple, list[int]] = {}
+            for i, position, entries in zip(index, positions, sites):
+                inside = position[:depth] == deep
+                beyond = tuple([e for w, e in entries if (w[:depth] == deep) != inside])
+                members.setdefault((inside, beyond), []).append(i)
+            for (inside, beyond), rows in members.items():
+                base = TreeHalfSpace(edge, Side.CONE if inside else Side.COCONE)
+                decoration = LampConfig(beyond, self.lamps, self.rank)
+                walls.append((WreathHalfSpace(base, decoration), rows))
+        walls.sort(key=lambda pair: pair[0].sort_key())
+        return walls
+
     def directed_separating_walls(
         self, inside: WreathElement, outside: WreathElement
     ) -> tuple[WreathHalfSpace, ...]:
@@ -160,15 +188,7 @@ class WreathWallSpace:
         inside's lamps restricted to the far side. Returned in canonical
         order.
         """
-        walls = [self.wall_through(wall, inside) for wall in self.base_walls(inside, outside)]
-        walls.sort(key=WreathHalfSpace.sort_key)
-        return tuple(walls)
-
-    def wall_through(self, base_wall: TreeWall, element: WreathElement) -> WreathHalfSpace:
-        """The wall over ``base_wall`` whose positive half contains ``element``."""
-        base_side = side_containing(base_wall, element.position)
-        decoration = element.lamps.restrict(lambda p: not base_side.contains(p))
-        return WreathHalfSpace(base_side, decoration)
+        return tuple(wall for wall, rows in self.separating_walls(inside, outside) if rows == [0])
 
     def wall_distance(self, a: WreathElement, b: WreathElement) -> int:
         """Number of walls separating a from b; a proper pseudometric.

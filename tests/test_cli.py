@@ -186,6 +186,19 @@ class TestGrowthCommand:
         assert (code, out) == (2, "")
         assert "growth enumeration would enumerate 106 elements" in err
 
+    @pytest.mark.parametrize("rank", ["2", "26"])
+    def test_free_ball_above_cap_exits_two_before_the_series(self, capsys, monkeypatch, rank):
+        from wreathwalls import embedding
+
+        def no_series(*args):
+            raise AssertionError("the series was expanded before the cap check")
+
+        monkeypatch.setattr(embedding, "_series_mul", no_series)
+        # 2 ** (39 // 2) is below the default cap; the free ball of radius 39 is not.
+        code, out, err = run(capsys, "--rank", rank, "growth", "--radius", "39")
+        assert (code, out) == (2, "")
+        assert "growth enumeration would enumerate more than 1000000 elements" in err
+
     def test_depends_on_the_lamp_group_only_through_its_order(self, capsys, tmp_path):
         table = tmp_path / "s3.txt"
         table.write_text(format_lamp_table(s3()))
@@ -329,6 +342,28 @@ class TestErrorsAndDeterminism:
         code, _, err = run(capsys, "--format", "csv", "mul", "{}|1", "{}|1")
         assert code == 2
         assert "csv" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mul", "{}|1", "{}|a"],
+            ["inv", "{}|a"],
+            ["dist", "{}|1", "{}|a"],
+            ["walls", "{}|1", "{}|a"],
+            ["proper", "--max-wall", "1"],
+            ["cnd", "--sample", "SAMPLE"],
+            ["embed", "--sample", "SAMPLE", "--out", "OUT"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_csv_rejected_for_every_command_but_growth(self, capsys, tmp_path, argv):
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{}|1\n{}|a\n")
+        paths = {"SAMPLE": str(sample), "OUT": str(tmp_path / "out")}
+        code, out, err = run(capsys, "--format", "csv", *(paths.get(a, a) for a in argv))
+        assert (code, out) == (2, "")
+        assert "csv output is not available" in err
+        assert not (tmp_path / "out").exists()
 
     def test_cap_exhaustion_exits_two(self, capsys):
         code, _, err = run(capsys, "--cap", "10", "proper", "--max-wall", "1")

@@ -12,11 +12,13 @@ from wreathwalls import (
     CapExceededError,
     CndReport,
     LampGroup,
+    WreathHalfSpace,
     WreathWallSpace,
     cnd_check,
     distance_matrix,
     growth_table,
     hamming_distances,
+    sample_walls,
     validate_distance_matrix,
     validate_sample,
     wall_coordinates,
@@ -109,6 +111,28 @@ class TestWallCoordinates:
         assert walls == []
         assert coords.shape == (1, 0)
 
+    def test_sample_walls_of_empty_and_single_samples_are_empty(self):
+        sp = WreathWallSpace(z2(), 2)
+        assert sample_walls(sp, []) == []
+        assert sample_walls(sp, sample(["{a:1,b:1}|ab"])) == []
+
+    def test_each_wall_is_built_once(self, monkeypatch):
+        builds = []
+        check = WreathHalfSpace.__post_init__
+
+        def counted(half):
+            builds.append(half)
+            check(half)
+
+        monkeypatch.setattr(WreathHalfSpace, "__post_init__", counted)
+        sp = WreathWallSpace(z3(), 2)
+        elements = sample(
+            ["{}|1", "{a:2}|b", "{1:1,B:2}|ab", "{b:1}|A", "{a:1,ab:2}|aB", "{}|bb"], lamps=z3()
+        )
+        walls, coords = wall_coordinates(sp, elements)
+        assert coords.dtype == np.uint8
+        assert len(builds) == len(walls) == coords.shape[1]
+
     def test_gram_form_hamming_equals_pairwise_loop(self):
         def pairwise(coords):
             n = coords.shape[0]
@@ -120,8 +144,11 @@ class TestWallCoordinates:
 
         rng = np.random.default_rng(229)
         for n, width in ((1, 0), (2, 1), (7, 30), (20, 200)):
-            coords = rng.integers(0, 2, size=(n, width), dtype=np.int64)
-            assert np.array_equal(hamming_distances(coords), pairwise(coords))
+            for dtype in (np.int64, np.uint8):
+                coords = rng.integers(0, 2, size=(n, width), dtype=dtype)
+                hamming = hamming_distances(coords)
+                assert hamming.dtype == np.int64
+                assert np.array_equal(hamming, pairwise(coords))
         sp = WreathWallSpace(z3(), 2)
         elements = sample(["{}|1", "{a:2}|b", "{1:1,B:2}|ab", "{b:1}|A"], lamps=z3())
         _, coords = wall_coordinates(sp, elements)
@@ -284,4 +311,8 @@ class TestGrowthTable:
         # Past the 2 ** (radius // 2) lower bound the refusal prints no size.
         with pytest.raises(CapExceededError, match="more than 1000000") as info:
             growth_table(WreathWallSpace(z2(), 2), 10**20)
+        assert info.value.predicted is None
+        # Nor past the free ball: its 53 lamp-free elements of length <= 3.
+        with pytest.raises(CapExceededError, match="more than 52") as info:
+            growth_table(WreathWallSpace(z2(), 2, cap=52), 3)
         assert info.value.predicted is None

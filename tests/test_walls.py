@@ -13,7 +13,6 @@ from wreathwalls import (
     TreeWall,
     free_ball,
     separating_tree_walls,
-    side_containing,
     translate_half_space,
 )
 from wreathwalls.grammar import parse_word
@@ -99,17 +98,6 @@ class TestSeparation:
         walls = separating_tree_walls(word("bA"), word("ab"))
         keys = [w.sort_key() for w in walls]
         assert keys == sorted(keys)
-
-
-class TestSideContaining:
-    def test_matches_membership(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            x = random_reduced_word(rng, 2, 4)
-            h = random_tree_half_space(rng, 2, 4)
-            found = side_containing(h.wall, x)
-            assert found.contains(x)
-            assert found in (h, h.complement())
 
 
 class TestTranslation:
