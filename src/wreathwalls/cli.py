@@ -15,8 +15,7 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .embedding import (
     check_tolerance,
@@ -30,6 +29,9 @@ from .embedding import (
 from .grammar import ParseError, load_lamp_table, load_sample_file, parse_element
 from .groups import DEFAULT_CAP, CapExceededError, LampGroup, check_table_order
 from .wreath_walls import SublevelReport, WreathHalfSpace, WreathWallSpace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass
@@ -160,30 +162,27 @@ def _cmd_dist(cfg: SessionConfig, args: argparse.Namespace) -> int:
     space = cfg.space()
     first = parse_element(args.first, cfg.lamps, cfg.rank)
     second = parse_element(args.second, cfg.lamps, cfg.rank)
-    forward = space.directed_separating_walls(first, second)
-    reverse = space.directed_separating_walls(second, first)
-    distance = len(forward) + len(reverse)
-    oracle_ok = None
     if args.oracle:
+        forward = space.directed_separating_walls(first, second)
+        reverse = space.directed_separating_walls(second, first)
+        fast = set(forward) | set(reverse)
         brute = set(
             space.brute_force_separating(first, second, space.oracle_radius(first, second))
         )
-        fast = set(forward) | set(reverse)
-        oracle_ok = brute == fast
+        payload = {"distance": len(forward) + len(reverse), "oracle_ok": brute == fast}
+    else:
+        payload = {"distance": space.wall_distance(first, second)}
     if cfg.fmt == "json":
-        payload = {"distance": distance}
-        if oracle_ok is not None:
-            payload["oracle_ok"] = oracle_ok
         _emit_json(payload)
     else:
-        print(distance)
-    if oracle_ok is False:
-        print("oracle mismatch: brute-force walls differ from the fast enumeration", file=sys.stderr)
-        for label, only in (("brute force", brute - fast), ("fast enumeration", fast - brute)):
-            for wall in sorted(only, key=WreathHalfSpace.sort_key):
-                print(f"  only in {label}: {wall}", file=sys.stderr)
-        return 1
-    return 0
+        print(payload["distance"])
+    if payload.get("oracle_ok", True):
+        return 0
+    print("oracle mismatch: brute-force walls differ from the fast enumeration", file=sys.stderr)
+    for label, only in (("brute force", brute - fast), ("fast enumeration", fast - brute)):
+        for wall in sorted(only, key=WreathHalfSpace.sort_key):
+            print(f"  only in {label}: {wall}", file=sys.stderr)
+    return 1
 
 
 def _cmd_walls(cfg: SessionConfig, args: argparse.Namespace) -> int:
@@ -298,7 +297,7 @@ def _cmd_embed(cfg: SessionConfig, args: argparse.Namespace) -> int:
     (out / "walls.txt").write_text("".join(f"{w}\n" for w in walls))
     _write_int_csv(out / "distances.csv", matrix)
     _write_int_csv(out / "coordinates.csv", coordinates)
-    isometry_ok = bool(np.array_equal(hamming_distances(coordinates), matrix))
+    isometry_ok = bool((hamming_distances(coordinates) == matrix).all())
     payload = {
         "dimension": len(elements),
         "wall_count": len(walls),

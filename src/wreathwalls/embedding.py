@@ -8,17 +8,20 @@ definite, which is the finite-sample shadow of a proper isometric action on
 a Hilbert space. This module computes the coordinates, checks the isometry,
 tests conditional negative definiteness by eigenvalue, and tabulates how the
 wall distance grows along word-metric spheres of the wreath product.
+numpy is imported only inside the functions that compute with arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .groups import CapExceededError, WreathElement, predicted_ball_size
 from .wreath_walls import WreathHalfSpace, WreathWallSpace
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def validate_sample(elements: list[WreathElement]) -> None:
@@ -37,6 +40,7 @@ def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np
 
     Refuses above the space's cap on the n * n entries, before allocating.
     """
+    import numpy as np
     validate_sample(elements)
     n = len(elements)
     if n * n > space.cap:
@@ -51,6 +55,7 @@ def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np
 
 def validate_distance_matrix(matrix: np.ndarray) -> None:
     """Check square shape, symmetry, zero diagonal, nonnegativity, triangle inequality."""
+    import numpy as np
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {matrix.shape}")
@@ -84,6 +89,7 @@ def wall_coordinates(
     ``wall_distance`` coordinates: walls separating the pair flip, all
     others agree.
     """
+    import numpy as np
     validate_sample(elements)
     walls = space.separating_walls(*elements)
     matrix = np.zeros((len(elements), len(walls)), dtype=np.uint8)
@@ -99,6 +105,7 @@ def hamming_distances(coordinates: np.ndarray) -> np.ndarray:
     than an n x n x walls comparison. It runs in float64, where numpy uses
     BLAS, exact while its partial sums (at most the column count) stay below 2**53.
     """
+    import numpy as np
     if coordinates.shape[1] >= 2**53:
         raise ValueError(f"{coordinates.shape[1]} columns exceed the exact float64 range 2**53")
     ones = coordinates.sum(axis=1, dtype=np.int64)
@@ -131,6 +138,7 @@ def cnd_check(matrix: np.ndarray, tol: float = 1e-9) -> CndReport:
     the matrix max-norm, so integer kernels of moderate size are judged
     essentially exactly.
     """
+    import numpy as np
     check_tolerance(tol)
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:

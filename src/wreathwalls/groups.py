@@ -168,6 +168,14 @@ class ReducedWord:
         return f"ReducedWord({str(self)!r}, rank={self.rank})"
 
 
+def _built_reduced(letters: tuple[int, ...], rank: int) -> ReducedWord:
+    """A word its caller built reduced and within a checked rank, not validated again."""
+    word = object.__new__(ReducedWord)
+    object.__setattr__(word, "letters", letters)
+    object.__setattr__(word, "rank", rank)
+    return word
+
+
 def predicted_ball_size(rank: int, radius: int) -> int:
     """Exact number of reduced words of length <= radius in F_rank."""
     if rank < 1:
@@ -197,6 +205,7 @@ def free_ball(rank: int, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWor
 
     Refuses with :class:`CapExceededError` above ``cap`` (see
     :func:`capped_ball_size`); the ball grows like (2*rank-1)**radius.
+    Only the identity is validated: every other word is reduced by construction.
     """
     capped_ball_size(rank, radius, cap)
     alphabet = sorted(
@@ -212,7 +221,7 @@ def free_ball(rank: int, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWor
             for letter in alphabet:
                 if letter != -last:
                     next_level.append(letters + (letter,))
-        words.extend(ReducedWord(letters, rank) for letters in next_level)
+        words.extend([_built_reduced(letters, rank) for letters in next_level])
         level = next_level
     return words
 

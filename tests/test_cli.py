@@ -23,15 +23,20 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def assert_refused_within_five_seconds(argv):
+def child_env():
+    """This environment with the checkout's ``src`` first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def assert_refused_within_five_seconds(argv):
     result = subprocess.run(
         [sys.executable, "-m", "wreathwalls", *argv],
         capture_output=True,
         text=True,
         timeout=5,
-        env={**os.environ, "PYTHONPATH": path},
+        env=child_env(),
     )
     assert result.returncode == 2
     assert result.stdout == ""
@@ -430,6 +435,51 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "wreathwalls", "dist", "{}|1", "{}|ab"],
             capture_output=True,
             text=True,
+            env=child_env(),
         )
         assert result.returncode == 0
         assert result.stdout == "4\n"
+
+
+# Runs main(argv) in a fresh interpreter, then reports its exit code and whether numpy is loaded.
+NUMPY_PROBE = """
+import sys
+from wreathwalls.cli import main
+code = main(sys.argv[1:])
+print(code, "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def probe_numpy(*argv):
+    """The probe's last stderr line for ``argv``: exit code and whether numpy got loaded."""
+    result = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+    )
+    return result.stderr.splitlines()[-1]
+
+
+class TestNumpyLoading:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["mul", "{a:1}|a", "{}|b"],
+            ["inv", "{a:1}|a"],
+            ["dist", "{}|1", "{a:1}|ab"],
+            ["dist", "--oracle", "{}|1", "{a:1}|ab"],
+            ["walls", "{}|1", "{a:1}|ab"],
+            ["--rank", "1", "proper", "--max-wall", "1"],
+            ["growth", "--radius", "3"],
+        ],
+        ids=" ".join,
+    )
+    def test_numpy_free_commands_never_import_numpy(self, argv):
+        assert probe_numpy(*argv) == "0 False"
+
+    def test_cnd_imports_numpy(self, tmp_path):
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{}|1\n{}|a\n{a:1}|ab\n")
+        assert probe_numpy("cnd", "--sample", str(sample)) == "0 True"

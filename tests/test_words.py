@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from wreathwalls import CapExceededError, ReducedWord, free_ball, predicted_ball_size
+from wreathwalls import MAX_RANK, CapExceededError, ReducedWord, free_ball, predicted_ball_size
 from wreathwalls.groups import free_reduce, letter_char, letter_order
 
 from support import all_rewrite_results, brute_ball, naive_reduce, random_reduced_word
@@ -135,6 +135,18 @@ class TestBalls:
         ball = free_ball(1, 3)
         letters = sorted(sum(w.letters) if w.letters else 0 for w in ball)
         assert letters == list(range(-3, 4))
+
+    def test_ball_words_equal_validated_words(self):
+        for rank in (1, 2, 3):
+            for radius in range(5):
+                for w in free_ball(rank, radius):
+                    checked = ReducedWord(w.letters, rank)
+                    assert w == checked
+                    assert hash(w) == hash(checked)
+
+    def test_rank_above_maximum_is_refused(self):
+        with pytest.raises(ValueError, match="rank must be in"):
+            free_ball(MAX_RANK + 1, 0)
 
     def test_enumeration_is_shortlex_sorted_without_duplicates(self):
         ball = free_ball(2, 4)
