@@ -23,7 +23,6 @@ from .embedding import (
     distance_matrix,
     growth_table,
     hamming_distances,
-    sample_walls,
     wall_coordinates,
 )
 from .grammar import ParseError, load_lamp_table, load_sample_file, parse_element
@@ -163,13 +162,11 @@ def _cmd_dist(cfg: SessionConfig, args: argparse.Namespace) -> int:
     first = parse_element(args.first, cfg.lamps, cfg.rank)
     second = parse_element(args.second, cfg.lamps, cfg.rank)
     if args.oracle:
-        forward = space.directed_separating_walls(first, second)
-        reverse = space.directed_separating_walls(second, first)
-        fast = set(forward) | set(reverse)
+        fast = {wall for wall, _ in space.separating_walls(first, second)}
         brute = set(
             space.brute_force_separating(first, second, space.oracle_radius(first, second))
         )
-        payload = {"distance": len(forward) + len(reverse), "oracle_ok": brute == fast}
+        payload = {"distance": len(fast), "oracle_ok": brute == fast}
     else:
         payload = {"distance": space.wall_distance(first, second)}
     if cfg.fmt == "json":
@@ -189,8 +186,9 @@ def _cmd_walls(cfg: SessionConfig, args: argparse.Namespace) -> int:
     space = cfg.space()
     first = parse_element(args.first, cfg.lamps, cfg.rank)
     second = parse_element(args.second, cfg.lamps, cfg.rank)
-    forward = space.directed_separating_walls(first, second)
-    reverse = space.directed_separating_walls(second, first)
+    walls = space.separating_walls(first, second)
+    forward = [wall for wall, rows in walls if rows == [0]]
+    reverse = [wall for wall, rows in walls if rows == [1]]
     if cfg.fmt == "json":
         _emit_json(
             {
@@ -230,10 +228,15 @@ def _cmd_proper(cfg: SessionConfig, args: argparse.Namespace) -> int:
     if cfg.fmt == "json":
         _emit_json(_report_dict(report))
     else:
-        print(f"box radius {report.radius}: {report.box_size} elements enumerated")
+        above = f"more than {cfg.cap}"
+        if report.box_size is None:
+            print(f"box radius {report.radius}: {above} elements, not enumerated")
+        else:
+            print(f"box radius {report.radius}: {report.box_size} elements enumerated")
+        bound = above if report.cardinality_bound is None else report.cardinality_bound
         print(
             f"wall distance <= {report.max_wall}: {report.sublevel_count} elements"
-            f" (bound {report.cardinality_bound})"
+            f" (bound {bound})"
         )
         for element in report.sublevel:
             print(f"  {element}")
@@ -262,13 +265,13 @@ def _cmd_cnd(cfg: SessionConfig, args: argparse.Namespace) -> int:
     space = cfg.space()
     elements = load_sample_file(args.sample, cfg.lamps, cfg.rank)
     matrix = distance_matrix(space, elements)
-    walls = sample_walls(space, elements)
+    wall_count = space.separating_wall_count(*elements)
     report = cnd_check(matrix, cfg.tol)
     payload = {
         "pass": report.passed,
         "min_eigenvalue": report.min_eigenvalue,
         "dimension": report.dimension,
-        "wall_count": len(walls),
+        "wall_count": wall_count,
     }
     if cfg.fmt == "json":
         _emit_json(payload)
@@ -276,7 +279,7 @@ def _cmd_cnd(cfg: SessionConfig, args: argparse.Namespace) -> int:
         print(
             f"{'pass' if report.passed else 'FAIL'}"
             f" min_eigenvalue={report.min_eigenvalue:.3e}"
-            f" dimension={report.dimension} wall_count={len(walls)}"
+            f" dimension={report.dimension} wall_count={wall_count}"
         )
     return 0 if report.passed else 1
 

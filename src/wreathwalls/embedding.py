@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .groups import CapExceededError, WreathElement, predicted_ball_size
-from .wreath_walls import WreathHalfSpace, WreathWallSpace
+from .wreath_walls import WreathHalfSpace, WreathWallSpace, spanned_edge_series
 
 if TYPE_CHECKING:
     import numpy as np
@@ -87,10 +87,10 @@ def wall_coordinates(
     :func:`sample_walls`, as ``uint8``; over each base edge an element is in
     exactly its own wall. Rows of the returned matrix differ in exactly
     ``wall_distance`` coordinates: walls separating the pair flip, all
-    others agree.
+    others agree. The sample is not validated (:func:`distance_matrix`
+    does that): an empty sample gives no rows, and repeated elements equal rows.
     """
     import numpy as np
-    validate_sample(elements)
     walls = space.separating_walls(*elements)
     matrix = np.zeros((len(elements), len(walls)), dtype=np.uint8)
     for k, (_, rows) in enumerate(walls):
@@ -170,33 +170,13 @@ class GrowthRow:
     max_wall: int
 
 
-def _series_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Product of two series truncated at the z-degree of ``a`` (see :func:`growth_table`)."""
-    out = [[0] * len(row) for row in a]
-    for i, row_a in enumerate(a):
-        for k, row_b in enumerate(b[: len(a) - i]):
-            for j, x in enumerate(row_a):
-                for l, y in enumerate(row_b if x else ()):
-                    out[i + k][j + l] += x * y
-    return out
-
-
-def _series_power(a: list[list[int]], exponent: int, one: list[list[int]]) -> list[list[int]]:
-    result = one
-    for bit in bin(exponent)[2:]:
-        result = _series_mul(result, result)
-        result = _series_mul(result, a) if bit == "1" else result
-    return result
-
-
 def growth_table(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
     """Min/max wall distance to the identity on each word-metric sphere.
 
-    Spheres over the standard generators, counted by word length ``z`` and spanned
-    base edges ``e``; a series lists row ``i`` as its ``z^i e^j`` coefficients. With
-    ``h`` lamps, ``V_k = (1 + (h-1) z)(1 + G)^k`` and ``G = z^2 e (V_(2n-1) - 1)``
-    (README, "Growth series"), the spheres are
-    ``V_2n + sum_(m>=1) 2n (2n-1)^(m-1) (ze)^m V_(2n-1)^2 V_(2n-2)^(m-1)``.
+    Spheres over the standard generators, counted by the
+    :func:`~wreathwalls.wreath_walls.spanned_edge_series` truncated at word
+    length ``z`` = radius, with spanned base edges ``e`` inside: row ``r``
+    lists the ``z^r e^j`` coefficients.
     Refuses exactly when the ball exceeds the cap: from the bounds
     ``2 ** (radius // 2)`` (lamp patterns along one ray) and the free ball
     (lamp-free elements), else from its size.
@@ -206,17 +186,10 @@ def growth_table(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
     if radius // 2 >= space.cap.bit_length() or predicted_ball_size(space.rank, radius) > space.cap:
         raise CapExceededError(None, space.cap, "growth enumeration")
     one = [[1]] + [[0] * (i + 1) for i in range(1, radius + 1)]
-    lamp = _series_mul(one, [[1], [space.lamps.order - 1, 0]])
-    slot = one  # 1 + G, where G = z^2 e (V_(2n-1) - 1)
-    for _ in range(radius // 2 + 1):  # each pass fixes two more z-degrees of G
-        inner = _series_mul(lamp, _series_power(slot, 2 * space.rank - 2, one))  # V_(2n-2)
-        end = _series_mul(inner, slot)  # V_(2n-1)
-        slot = [[1]] + _series_mul([[0]] + end[1:], [[0], [0, 0], [0, 1, 0]])[1:]
-    spheres = _series_mul(end, slot)
-    path = _series_mul(_series_mul(end, end), [[0], [0, 2 * space.rank]])  # the m = 1 term
-    for _ in range(radius):
-        spheres = [[x + y for x, y in zip(p, q)] for p, q in zip(spheres, path)]
-        path = _series_mul(_series_mul(path, inner), [[0], [0, 2 * space.rank - 1]])
+    h = space.lamps.order
+    spheres = spanned_edge_series(
+        space.rank, one, [[1], [h - 1, 0]], [[0], [0, 0], [0, 1, 0]], [[0], [0, 1]]
+    )
     ball = sum(map(sum, spheres))
     if ball > space.cap:
         raise CapExceededError(ball, space.cap, "growth enumeration")

@@ -10,7 +10,8 @@ such a half-space and its complement.
 :class:`WreathWallSpace` packages the closed-form wall distance, the walls
 separating a sample (and the directed enumeration read off them), the induced
 left action on half-spaces, an exhaustive brute-force oracle for
-cross-checking, and the sub-level report.
+cross-checking, and the sub-level sets: generated directly, counted by the
+spanned-edge series, with the exhaustive box sweep as their oracle.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .groups import (
     capped_power,
     check_rank,
     free_ball,
+    predicted_ball_size,
 )
 from .walls import (
     Side,
@@ -84,27 +86,87 @@ class WreathHalfSpace:
 class SublevelReport:
     """Outcome of the sub-level properness check at wall distance ``max_wall``.
 
-    ``sublevel`` is the full set of enumerated elements at wall distance at
-    most ``max_wall`` from the identity; ``violations`` are those among them
+    ``sublevel`` is the full set of elements at wall distance at most
+    ``max_wall`` from the identity; ``violations`` are those among them
     whose position or lamp support leaves the base-group ball of radius
     ``max_wall`` (the containment the construction promises), so a proper
-    structure reports ``contained=True`` and no violations.
+    structure reports ``contained=True`` and no violations. ``box_size``
+    (the box of radius ``radius``) and ``cardinality_bound`` (the box of
+    radius ``max_wall``) are None where they exceed the cap.
     """
 
     rank: int
     lamp_order: int
     max_wall: int
     radius: int
-    box_size: int
+    box_size: int | None
     sublevel: tuple[WreathElement, ...]
     base_ball_size: int
-    cardinality_bound: int
+    cardinality_bound: int | None
     contained: bool
     violations: tuple[WreathElement, ...]
 
     @property
     def sublevel_count(self) -> int:
         return len(self.sublevel)
+
+
+def _series_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Product of two series truncated to the shape of ``a`` (see :func:`spanned_edge_series`)."""
+    out = [[0] * len(row) for row in a]
+    for i, row_a in enumerate(a):
+        for k, row_b in enumerate(b[: len(a) - i]):
+            for j, x in enumerate(row_a):
+                for l, y in enumerate(row_b if x else ()):
+                    out[i + k][j + l] += x * y
+    return out
+
+
+def _series_add(a: list[list[int]], b: list[list[int]], sign: int = 1) -> list[list[int]]:
+    return [[x + sign * y for x, y in zip(p, q)] for p, q in zip(a, b)]
+
+
+def _series_power(a: list[list[int]], exponent: int, one: list[list[int]]) -> list[list[int]]:
+    result = one
+    for bit in bin(exponent)[2:]:
+        result = _series_mul(result, result)
+        result = _series_mul(result, a) if bit == "1" else result
+    return result
+
+
+def spanned_edge_series(
+    rank: int,
+    one: list[list[int]],
+    vertex: list[list[int]],
+    branch: list[list[int]],
+    step: list[list[int]],
+) -> list[list[int]]:
+    """Elements of H wr F_rank counted by the edges of the subtree they span.
+
+    A series is a list of rows: row ``i`` lists the coefficients of the
+    ``i``-th power of the truncating variable, each a polynomial in a second
+    variable. ``one`` is the truncated unit and fixes the shape. ``vertex``
+    weighs a vertex's lamp, ``branch`` an edge into a side branch and
+    ``step`` an edge of the path to the position. A nonempty branch below an
+    edge is ``G = branch (V_(2n-1) - 1)``, a vertex with ``k`` branch slots
+    is ``V_k = vertex (1 + G)^k``, and the elements are
+    ``V_2n + sum_(m>=1) 2n (2n-1)^(m-1) step^m V_(2n-1)^2 V_(2n-2)^(m-1)``
+    (README, "Growth series"). With word length ``z`` truncating and edges
+    ``e`` inside, the weights are ``1 + (h-1) z``, ``z^2 e`` and ``z e``;
+    with edges alone, ``h``, ``e`` and ``e``.
+    """
+    vertex = _series_mul(one, vertex)
+    slot = one  # 1 + G
+    for _ in range((len(one) - 1) // (len(branch) - 1) + 1):  # each pass fixes more of G
+        inner = _series_mul(vertex, _series_power(slot, 2 * rank - 2, one))  # V_(2n-2)
+        end = _series_mul(inner, slot)  # V_(2n-1)
+        slot = _series_add(one, _series_mul(_series_add(end, one, -1), branch))
+    total = _series_mul(end, slot)  # V_2n
+    path = _series_mul(_series_mul(_series_mul(end, end), step), [[2 * rank]])  # the m = 1 term
+    for _ in range(len(one) - 1):
+        total = _series_add(total, path)
+        path = _series_mul(_series_mul(_series_mul(path, inner), step), [[2 * rank - 1]])
+    return total
 
 
 class WreathWallSpace:
@@ -151,19 +213,19 @@ class WreathWallSpace:
         """
         return separating_tree_walls(*self._spanning_words(elements))
 
-    def separating_walls(self, *elements: WreathElement) -> list[tuple[WreathHalfSpace, list[int]]]:
-        """The walls separating some two of the elements, with the indices in each positive half.
+    def _keyed_edges(
+        self, elements: tuple[WreathElement, ...]
+    ) -> Iterator[tuple[TreeWall, dict[tuple, list[int]]]]:
+        """Each of the :meth:`base_walls`, with the elements keyed by their wall over it.
 
-        Over each of the :meth:`base_walls`, an element lies in exactly one
-        wall's positive half: its own side, decorated with its lamps beyond
-        the edge. Elements are keyed by that side and those entries, and one
-        half-space is built per distinct key; every key on such an edge
-        separates. Returned in canonical order.
+        Over each such edge, an element lies in exactly one wall's positive
+        half: its own side, decorated with its lamps beyond the edge. The key
+        is that side (``inside`` the cone or not) and those entries; every
+        key on such an edge is a separating wall.
         """
         index = list(range(len(elements)))  # one int object per element, shared by every edge
         positions = [x.position.letters for x in elements]
         sites = [[(p.letters, (p, v)) for p, v in x.lamps.entries] for x in elements]
-        walls = []
         for edge in self.base_walls(*elements):
             deep = edge.deep.letters
             depth = len(deep)
@@ -172,12 +234,26 @@ class WreathWallSpace:
                 inside = position[:depth] == deep
                 beyond = tuple([e for w, e in entries if (w[:depth] == deep) != inside])
                 members.setdefault((inside, beyond), []).append(i)
+            yield edge, members
+
+    def separating_walls(self, *elements: WreathElement) -> list[tuple[WreathHalfSpace, list[int]]]:
+        """The walls separating some two of the elements, with the indices in each positive half.
+
+        One half-space is built per key of :meth:`_keyed_edges`. Returned in
+        canonical order.
+        """
+        walls = []
+        for edge, members in self._keyed_edges(elements):
             for (inside, beyond), rows in members.items():
                 base = TreeHalfSpace(edge, Side.CONE if inside else Side.COCONE)
                 decoration = LampConfig(beyond, self.lamps, self.rank)
                 walls.append((WreathHalfSpace(base, decoration), rows))
         walls.sort(key=lambda pair: pair[0].sort_key())
         return walls
+
+    def separating_wall_count(self, *elements: WreathElement) -> int:
+        """How many :meth:`separating_walls` there are, counted by key without building them."""
+        return sum(len(members) for _, members in self._keyed_edges(elements))
 
     def directed_separating_walls(
         self, inside: WreathElement, outside: WreathElement
@@ -334,43 +410,127 @@ class WreathWallSpace:
             for position in ball:
                 yield WreathElement(config, position)
 
-    def sublevel_report(self, max_wall: int, radius: int) -> SublevelReport:
-        """Exhaustively verify properness of the wall metric at level ``max_wall``.
+    def sublevel_size(self, max_wall: int) -> int:
+        """Exact number of elements at wall distance <= max_wall from the identity.
 
-        Enumerates the box of the given radius, collects every element at
-        wall distance <= max_wall from the identity, and checks each has
-        position and lamp support inside the base ball of radius max_wall.
-
-        The box is exhaustive for the sub-level set whenever
-        radius >= max_wall: every edge of the geodesic from the identity to
-        the position or to a lamp is a base wall between them, so any element
-        reaching outside the ball of radius max_wall already has wall
-        distance > max_wall and cannot hide beyond the box.
+        The spanned-edge series (:func:`spanned_edge_series`) with the word
+        length dropped, summed up to ``max_wall // 2`` edges. Refuses above
+        the cap, at once from the lower bound ``2 ** (max_wall // 2)``
+        (lamp patterns along one ray), else from the exact count.
         """
         if max_wall < 0:
             raise ValueError(f"max_wall must be >= 0, got {max_wall}")
+        edges = max_wall // 2
+        if edges >= self.cap.bit_length():
+            raise CapExceededError(None, self.cap, f"sub-level set at wall distance {max_wall}")
+        one = [[1]] + [[0] for _ in range(edges)]
+        series = spanned_edge_series(self.rank, one, [[self.lamps.order]], [[0], [1]], [[0], [1]])
+        count = sum(row[0] for row in series)
+        if count > self.cap:
+            raise CapExceededError(count, self.cap, f"sub-level set at wall distance {max_wall}")
+        return count
+
+    def _rooted_subtrees(self, max_edges: int) -> Iterator[list[tuple[int, ...]]]:
+        """Vertex lists, root first, of each Cayley subtree holding 1 with <= max_edges edges.
+
+        Each subtree is grown once: a vertex is added only from the part of
+        the frontier after the previously added one, together with its own
+        children.
+        """
+        letters = [*range(1, self.rank + 1), *range(-self.rank, 0)]
+
+        def children(vertex: tuple[int, ...]) -> list[tuple[int, ...]]:
+            last = vertex[-1] if vertex else 0
+            return [vertex + (letter,) for letter in letters if letter != -last]
+
+        def grow(vertices, frontier):
+            yield vertices
+            if len(vertices) <= max_edges:
+                for i, vertex in enumerate(frontier):
+                    yield from grow(vertices + [vertex], frontier[i + 1 :] + children(vertex))
+
+        return grow([()], children(()))
+
+    def sublevel(self, max_wall: int) -> list[WreathElement]:
+        """Every element at wall distance <= max_wall from the identity, in canonical order.
+
+        ``d(1, x)`` is twice the edge count of the subtree spanned by
+        ``{1, position} ∪ support``, so each subtree with at most
+        ``max_wall // 2`` edges yields the elements spanning exactly it: any
+        position in it, lamps arbitrary at the root, the position and inner
+        vertices, and nontrivial at every other leaf. Sorted by
+        :meth:`WreathElement.sort_key`, built from each vertex's key. Refuses
+        above the cap (see :meth:`sublevel_size`) before building anything.
+        """
+        self.sublevel_size(max_wall)
+        words: dict[tuple[int, ...], ReducedWord] = {}
+        keys: dict[tuple[int, ...], tuple] = {}
+        lit = range(1, self.lamps.order)
+
+        def configs(order, choices) -> list[tuple[tuple, LampConfig]]:
+            out = []
+            for values in itertools.product(*choices):
+                entries = [(v, value) for v, value in zip(order, values) if value]
+                key = tuple([(keys[v], value) for v, value in entries])
+                entries = tuple([(words[v], value) for v, value in entries])
+                out.append((key, LampConfig(entries, self.lamps, self.rank)))
+            return out
+
+        keyed = []
+        for vertices in self._rooted_subtrees(max_wall // 2):
+            for v in vertices:
+                if v not in words:
+                    words[v] = ReducedWord(v, self.rank)
+                    keys[v] = words[v].sort_key()
+            order = sorted(vertices, key=keys.__getitem__)
+            inner = {v[:-1] for v in vertices}
+            leaves = {v for v in vertices if v and v not in inner}
+            choices = [lit if v in leaves else self.lamps.elements() for v in order]
+            all_lit = configs(order, choices)
+            for position in vertices:
+                chosen = all_lit
+                if position in leaves:
+                    dark = [(0,) if v == position else c for v, c in zip(order, choices)]
+                    chosen = all_lit + configs(order, dark)
+                for key, config in chosen:
+                    keyed.append(((keys[position], key), WreathElement(config, words[position])))
+        keyed.sort(key=lambda pair: pair[0])
+        return [element for _, element in keyed]
+
+    def sublevel_report(self, max_wall: int, radius: int) -> SublevelReport:
+        """Verify properness of the wall metric at level ``max_wall``.
+
+        Generates the sub-level set (:meth:`sublevel`, which refuses above
+        the cap) and checks that each element has position and lamp support
+        inside the base ball of radius max_wall. The generation takes no
+        radius: ``radius`` only sizes the box of that radius, which holds the
+        whole sub-level set whenever radius >= max_wall, since every edge of
+        the geodesic from the identity to the position or to a lamp is a base
+        wall between them. ``box_size`` and ``cardinality_bound`` (the box of
+        radius max_wall) are exact up to the cap and None above it.
+        """
         if radius < max_wall:
             raise ValueError(f"radius {radius} must be >= max_wall {max_wall}")
-        box = self.box_size(radius)  # refuse before building either ball
-        identity = self.identity()
-        inner_ball = set(free_ball(self.rank, max_wall, self.cap))
-        low = sorted(
-            (x for x in self.enumerate_box(radius) if self.wall_distance(identity, x) <= max_wall),
-            key=WreathElement.sort_key,
-        )
-        violations = [x for x in low if not {x.position, *x.lamps.support} <= inner_ball]
+        low = self.sublevel(max_wall)
+        violations = [x for x in low if max(map(len, (x.position, *x.lamps.support))) > max_wall]
         return SublevelReport(
             rank=self.rank,
             lamp_order=self.lamps.order,
             max_wall=max_wall,
             radius=radius,
-            box_size=box,
+            box_size=self._box_size_or_none(radius),
             sublevel=tuple(low),
-            base_ball_size=len(inner_ball),
-            cardinality_bound=self.box_size(max_wall),
+            base_ball_size=predicted_ball_size(self.rank, max_wall),
+            cardinality_bound=self._box_size_or_none(max_wall),
             contained=not violations,
             violations=tuple(violations),
         )
+
+    def _box_size_or_none(self, radius: int) -> int | None:
+        try:
+            return self.box_size(radius)
+        except CapExceededError:
+            return None
 
     def __repr__(self) -> str:
         return f"WreathWallSpace(lamps={self.lamps!r}, rank={self.rank})"

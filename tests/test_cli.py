@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -28,6 +29,23 @@ def child_env():
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+def count_calls(monkeypatch, owner, name):
+    """Wrap ``owner.name`` to count its calls; returns the (one-item) counter."""
+    calls = [0]
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def forbidden(*args, **kwargs):
+    raise AssertionError("this path must not be taken")
 
 
 def assert_refused_within_five_seconds(argv):
@@ -103,7 +121,7 @@ class TestDistCommand:
     def test_oracle_mismatch_lists_walls_only_brute_force_found(self, capsys, monkeypatch):
         from wreathwalls.wreath_walls import WreathWallSpace
 
-        monkeypatch.setattr(WreathWallSpace, "directed_separating_walls", lambda *a, **k: ())
+        monkeypatch.setattr(WreathWallSpace, "separating_walls", lambda *a, **k: [])
         code, out, err = run(capsys, "dist", "--oracle", "{}|1", "{}|a")
         assert (code, out) == (1, "0\n")
         assert "only in brute force: E(COCONE(a), {})" in err
@@ -113,8 +131,26 @@ class TestDistCommand:
         code, out, _ = run(capsys, "--lamp-order", "3", "dist", "{a:2}|1", "{}|1")
         assert (code, out) == (0, "2\n")
 
+    def test_oracle_reads_both_directions_off_one_pass(self, capsys, monkeypatch):
+        from wreathwalls.wreath_walls import WreathWallSpace
+
+        calls = count_calls(monkeypatch, WreathWallSpace, "separating_walls")
+        monkeypatch.setattr(WreathWallSpace, "directed_separating_walls", forbidden)
+        code, out, _ = run(capsys, "dist", "--oracle", "{1:1,ab:1}|a", "{B:1}|b")
+        assert (code, out, calls) == (0, "8\n", [1])
+
+
 
 class TestWallsCommand:
+    def test_both_directions_come_from_one_pass(self, capsys, monkeypatch):
+        from wreathwalls.wreath_walls import WreathWallSpace
+
+        calls = count_calls(monkeypatch, WreathWallSpace, "separating_walls")
+        monkeypatch.setattr(WreathWallSpace, "directed_separating_walls", forbidden)
+        code, out, _ = run(capsys, "walls", "{}|1", "{a:1}|1")
+        assert (code, calls) == (0, [1])
+        assert out == "1->2 E(COCONE(a), {})\n2->1 E(COCONE(a), {a:1})\ntotal 2\n"
+
     def test_text_listing(self, capsys):
         code, out, _ = run(capsys, "walls", "{}|1", "{}|ab")
         assert code == 0
@@ -165,6 +201,33 @@ class TestProperCommand:
         assert payload["box_size"] >= payload["sublevel_count"]
         assert payload["cardinality_bound"] >= payload["sublevel_count"]
 
+    def test_rank_two_levels_run_in_seconds(self, capsys):
+        # The radius-6 box has 2**485 * 485 elements; the sub-level set has 2,926.
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "--format", "json", "proper", "--max-wall", "6")
+        assert time.perf_counter() - start < 10
+        payload = json.loads(out)
+        assert (code, payload["sublevel_count"], payload["box_size"]) == (0, 2926, None)
+
+    def test_box_above_cap_no_longer_refuses(self, capsys):
+        # The radius-2 box (2**17 * 17 elements) exceeds the cap; the 26 elements do not.
+        code, out, err = run(capsys, "--cap", "100", "proper", "--max-wall", "2", "--radius", "2")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[:2] == [
+            "box radius 2: more than 100 elements, not enumerated",
+            "wall distance <= 2: 26 elements (bound more than 100)",
+        ]
+
+    def test_violation_exits_one(self, capsys, monkeypatch):
+        from wreathwalls.grammar import parse_element
+        from wreathwalls.wreath_walls import WreathWallSpace
+
+        escaped = lambda self, n: [parse_element("{aa:1}|1", self.lamps, self.rank)]
+        monkeypatch.setattr(WreathWallSpace, "sublevel", escaped)
+        code, out, _ = run(capsys, "--rank", "1", "proper", "--max-wall", "1")
+        assert code == 1
+        assert out.splitlines()[-2:] == ["contained in radius-1 box: NO", "  violation: {aa:1}|1"]
+
 
 class TestGrowthCommand:
     def test_csv(self, capsys):
@@ -198,7 +261,7 @@ class TestGrowthCommand:
         def no_series(*args):
             raise AssertionError("the series was expanded before the cap check")
 
-        monkeypatch.setattr(embedding, "_series_mul", no_series)
+        monkeypatch.setattr(embedding, "spanned_edge_series", no_series)
         # 2 ** (39 // 2) is below the default cap; the free ball of radius 39 is not.
         code, out, err = run(capsys, "--rank", rank, "growth", "--radius", "39")
         assert (code, out) == (2, "")
@@ -285,8 +348,26 @@ class TestCndCommand:
         assert (code, out) == (2, "")
         assert "tolerance" in err
 
+    def test_counts_walls_without_building_them(self, capsys, tmp_path, monkeypatch):
+        from wreathwalls.wreath_walls import WreathHalfSpace
+
+        monkeypatch.setattr(WreathHalfSpace, "__post_init__", forbidden)
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{}|1\n{}|a\n{}|ab\n{a:1}|a\n")
+        code, out, _ = run(capsys, "--format", "json", "cnd", "--sample", str(sample))
+        assert (code, json.loads(out)["wall_count"]) == (0, 4)
+
 
 class TestEmbedCommand:
+    def test_validates_the_sample_once(self, capsys, tmp_path, monkeypatch):
+        from wreathwalls import embedding
+
+        calls = count_calls(monkeypatch, embedding, "validate_sample")
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{}|1\n{}|a\n{}|ab\n")
+        code, _, _ = run(capsys, "embed", "--sample", str(sample), "--out", str(tmp_path / "out"))
+        assert (code, calls) == (0, [1])
+
     def test_writes_csv_exports(self, capsys, tmp_path):
         sample = tmp_path / "sample.txt"
         sample.write_text("{}|1\n{}|a\n{}|ab\n")
@@ -371,7 +452,8 @@ class TestErrorsAndDeterminism:
         assert not (tmp_path / "out").exists()
 
     def test_cap_exhaustion_exits_two(self, capsys):
-        code, _, err = run(capsys, "--cap", "10", "proper", "--max-wall", "1")
+        # The cap bounds the 26 elements at wall distance <= 2, not the box around them.
+        code, _, err = run(capsys, "--cap", "10", "proper", "--max-wall", "2")
         assert code == 2
         assert "cap" in err
 

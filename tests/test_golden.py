@@ -122,6 +122,57 @@ CASES = {
             '"sublevel_count": 14, "violations": []}\n'
         ),
     ),
+    # The rank-2 sub-level list equals that of the box sweep, which needs
+    # --cap 3000000 --radius 2 (2,228,224 box elements) to run.
+    "proper_rank2": (
+        ["proper", "--max-wall", "2"],
+        0,
+        (
+            "box radius 3: more than 1000000 elements, not enumerated\n"
+            "wall distance <= 2: 26 elements (bound more than 1000000)\n"
+            "  {}|1\n"
+            "  {1:1}|1\n"
+            "  {1:1,a:1}|1\n"
+            "  {1:1,A:1}|1\n"
+            "  {1:1,b:1}|1\n"
+            "  {1:1,B:1}|1\n"
+            "  {a:1}|1\n"
+            "  {A:1}|1\n"
+            "  {b:1}|1\n"
+            "  {B:1}|1\n"
+            "  {}|a\n"
+            "  {1:1}|a\n"
+            "  {1:1,a:1}|a\n"
+            "  {a:1}|a\n"
+            "  {}|A\n"
+            "  {1:1}|A\n"
+            "  {1:1,A:1}|A\n"
+            "  {A:1}|A\n"
+            "  {}|b\n"
+            "  {1:1}|b\n"
+            "  {1:1,b:1}|b\n"
+            "  {b:1}|b\n"
+            "  {}|B\n"
+            "  {1:1}|B\n"
+            "  {1:1,B:1}|B\n"
+            "  {B:1}|B\n"
+            "contained in radius-2 box: yes\n"
+        ),
+    ),
+    "proper_rank2_json": (
+        ["--format", "json", "proper", "--max-wall", "2"],
+        0,
+        (
+            '{"base_ball_size": 17, "box_size": null, "cardinality_bound": null, '
+            '"contained": true, "lamp_order": 2, "max_wall": 2, "radius": 3, "rank": 2, '
+            '"sublevel": ["{}|1", "{1:1}|1", "{1:1,a:1}|1", "{1:1,A:1}|1", '
+            '"{1:1,b:1}|1", "{1:1,B:1}|1", "{a:1}|1", "{A:1}|1", "{b:1}|1", "{B:1}|1", '
+            '"{}|a", "{1:1}|a", "{1:1,a:1}|a", "{a:1}|a", "{}|A", "{1:1}|A", '
+            '"{1:1,A:1}|A", "{A:1}|A", "{}|b", "{1:1}|b", "{1:1,b:1}|b", "{b:1}|b", '
+            '"{}|B", "{1:1}|B", "{1:1,B:1}|B", "{B:1}|B"], "sublevel_count": 26, '
+            '"violations": []}\n'
+        ),
+    ),
     "growth": (
         ["growth", "--radius", "3"],
         0,

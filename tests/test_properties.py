@@ -5,10 +5,13 @@ words, elements or samples. The n-point ``separating_tree_walls`` and
 ``base_walls`` must equal the union of their pairwise calls, the closed form
 ``wall_distance`` must agree with both directed enumerations and with the
 brute-force search, ``sample_walls`` with the pairwise union of directed
-walls, and the wall coordinates with per-cell membership and, by Hamming
-distance, with the distance matrix. The brute-force search itself must equal
-a plain reference sweep, the wall distance must be left-invariant, and the
-left action on half-spaces must be equivariant. On breadth-first word-metric
+walls (and ``separating_wall_count`` with their number), and the wall
+coordinates with per-cell membership and, by Hamming distance, with the
+distance matrix. A random element must lie in the generated sub-level set
+exactly when its wall distance to the identity is within the level. The
+brute-force search itself must equal a plain reference sweep, the wall
+distance must be left-invariant, and the left action on half-spaces must be
+equivariant. On breadth-first word-metric
 spheres, word length must be ``d(1, x) - |pos| + |supp|``: the premise of the
 growth series.
 """
@@ -172,6 +175,29 @@ def test_sample_walls_equal_pairwise_directed_union(case):
     walls = sample_walls(space, sample)
     assert walls == sorted(union, key=lambda w: w.sort_key())
     assert len(set(walls)) == len(walls)
+
+
+@settings(deadline=None, max_examples=60)
+@given(samples(min_size=0))
+def test_wall_count_equals_sample_walls(case):
+    space, sample = case
+    assert space.separating_wall_count(*sample) == len(sample_walls(space, sample))
+
+
+@functools.lru_cache(maxsize=None)
+def sublevel_set(lamp_index: int, rank: int, max_wall: int) -> frozenset[WreathElement]:
+    return frozenset(WreathWallSpace(LAMPS[lamp_index], rank).sublevel(max_wall))
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, len(LAMPS) - 1), st.integers(1, 3), st.integers(0, 4), st.data())
+def test_sublevel_holds_exactly_the_elements_within_the_wall_distance(
+    lamp_index, rank, max_wall, data
+):
+    space = WreathWallSpace(LAMPS[lamp_index], rank)
+    x = data.draw(elements(space.lamps, rank, 2), label="x")
+    within = space.wall_distance(space.identity(), x) <= max_wall
+    assert (x in sublevel_set(lamp_index, rank, max_wall)) == within
 
 
 @settings(deadline=None, max_examples=60)

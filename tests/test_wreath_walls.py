@@ -9,6 +9,7 @@ import pytest
 from wreathwalls import (
     CapExceededError,
     LampConfig,
+    LampGroup,
     Side,
     TreeHalfSpace,
     TreeWall,
@@ -341,6 +342,64 @@ class TestProperness:
             sp.sublevel_report(-1, radius=1)
         with pytest.raises(ValueError):
             sp.sublevel_report(2, radius=1)
+
+    # The box sweep is the generator's oracle wherever the box of radius N fits under the cap.
+    @pytest.mark.parametrize(
+        ("lamps", "rank", "max_wall"),
+        [(z2(), 1, n) for n in range(6)]
+        + [(z3(), 1, n) for n in range(5)]
+        + [(s3(), 1, n) for n in range(3)]
+        + [(lamps, 2, n) for lamps in (z2(), z3(), s3()) for n in range(2)],
+        ids=lambda value: str(value.order) if hasattr(value, "order") else str(value),
+    )
+    def test_sublevel_equals_box_sweep(self, lamps, rank, max_wall):
+        sp = WreathWallSpace(lamps, rank)
+        identity = sp.identity()
+        swept = [x for x in sp.enumerate_box(max_wall) if sp.wall_distance(identity, x) <= max_wall]
+        assert sp.sublevel(max_wall) == sorted(swept, key=WreathElement.sort_key)
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    @pytest.mark.parametrize("order", [2, 3, 6])
+    def test_sublevel_size_counts_the_generated_set(self, order, rank):
+        sp = WreathWallSpace(LampGroup.cyclic(order), rank, cap=10**30)
+        max_wall = 0
+        while sp.sublevel_size(max_wall) <= 12000:
+            generated = sp.sublevel(max_wall)
+            assert len(set(generated)) == len(generated) == sp.sublevel_size(max_wall)
+            max_wall += 1
+        assert max_wall >= 3
+
+    def test_sublevel_sizes_rank_two(self):
+        sp = WreathWallSpace(z2(), 2)
+        sizes = [sp.sublevel_size(n) for n in range(10)]
+        assert sizes == [2, 2, 26, 26, 278, 278, 2926, 2926, 30864, 30864]
+
+    def test_sublevel_size_refuses_above_cap(self):
+        with pytest.raises(CapExceededError, match="enumerate 26 elements") as info:
+            WreathWallSpace(z2(), 2, cap=25).sublevel_size(2)
+        assert info.value.predicted == 26
+        # Past 2 ** (max_wall // 2) > cap the series is not expanded.
+        with pytest.raises(CapExceededError, match="more than 1000000") as info:
+            WreathWallSpace(z2(), 2).sublevel_size(10**20)
+        assert info.value.predicted is None
+
+    def test_report_leaves_boxes_above_the_cap_unsized(self):
+        # The radius-2 box of Z/2 wr F_2 has 2**17 * 17 elements; the radius-1 box 2**5 * 5.
+        report = WreathWallSpace(z2(), 2, cap=1000).sublevel_report(2, radius=2)
+        assert (report.box_size, report.cardinality_bound) == (None, None)
+        assert report.sublevel_count == 26
+        assert report.base_ball_size == 17
+        assert report.contained
+        report = WreathWallSpace(z2(), 2, cap=1000).sublevel_report(1, radius=2)
+        assert (report.box_size, report.cardinality_bound) == (None, 160)
+
+    def test_report_never_sweeps_the_box(self, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("the box was enumerated")
+
+        monkeypatch.setattr(WreathWallSpace, "enumerate_box", no_sweep)
+        report = WreathWallSpace(z2(), 1).sublevel_report(3, radius=4)
+        assert (report.box_size, report.sublevel_count) == (2**9 * 9, 14)
 
     def test_space_rejects_bad_cap(self):
         with pytest.raises(ValueError):
