@@ -5,13 +5,15 @@ lamp group (cyclic order or explicit table file), an enumeration cap, an
 output format, and an eigenvalue tolerance. Results go to stdout, errors to
 stderr. Exit codes: 0 success, 1 a checked property failed (oracle mismatch,
 non-CND kernel, properness violation, isometry self-check), 2 usage or input
-errors. Identical invocations produce byte-identical output.
+errors. A reader that closes stdout early ends the output quietly, with 0.
+Identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -336,7 +338,14 @@ def main(argv: list[str] | None = None) -> int:
         cfg = _session(args)
         if cfg.fmt == "csv" and args.command != "growth":
             raise ValueError("csv output is not available for this command")
-        return _COMMANDS[args.command](cfg, args)
+        code = _COMMANDS[args.command](cfg, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (say ``| head -1``): not an error. The null
+        # device takes whatever is still buffered at the interpreter's exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except (ParseError, CapExceededError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

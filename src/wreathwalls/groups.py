@@ -200,20 +200,25 @@ def capped_ball_size(rank: int, radius: int, cap: int) -> int:
     return predicted
 
 
-def free_ball(rank: int, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWord]:
-    """All reduced words of length <= radius, in shortlex order.
+def ball_letters(rank: int, radius: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
+    """The letter tuples of all reduced words of length <= radius, in shortlex order.
 
     Refuses with :class:`CapExceededError` above ``cap`` (see
-    :func:`capped_ball_size`); the ball grows like (2*rank-1)**radius.
-    Only the identity is validated: every other word is reduced by construction.
+    :func:`capped_ball_size`) before yielding any; the ball grows like
+    (2*rank-1)**radius. Every tuple is reduced by construction.
     """
     capped_ball_size(rank, radius, cap)
+    check_rank(rank)
+    return _ball_levels(rank, radius)
+
+
+def _ball_levels(rank: int, radius: int) -> Iterator[tuple[int, ...]]:
     alphabet = sorted(
         [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)],
         key=letter_order,
     )
-    words: list[ReducedWord] = [ReducedWord.identity(rank)]
     level: list[tuple[int, ...]] = [()]
+    yield ()
     for _ in range(radius):
         next_level: list[tuple[int, ...]] = []
         for letters in level:
@@ -221,9 +226,16 @@ def free_ball(rank: int, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWor
             for letter in alphabet:
                 if letter != -last:
                     next_level.append(letters + (letter,))
-        words.extend([_built_reduced(letters, rank) for letters in next_level])
+        yield from next_level
         level = next_level
-    return words
+
+
+def free_ball(rank: int, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWord]:
+    """All reduced words of length <= radius, in shortlex order: :func:`ball_letters` as words.
+
+    No word is validated again: each is reduced by construction.
+    """
+    return [_built_reduced(letters, rank) for letters in ball_letters(rank, radius, cap)]
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ spanned-edge series, with the exhaustive box sweep as their oracle.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -27,6 +28,7 @@ from .groups import (
     LampGroup,
     ReducedWord,
     WreathElement,
+    ball_letters,
     capped_ball_size,
     capped_power,
     check_rank,
@@ -319,14 +321,20 @@ class WreathWallSpace:
         which confines all separating walls (and, with the margin, witnesses
         that none live just outside).
 
-        Membership is tested by the definition on plain entry tuples: each
-        word occurring in a or b is classified once per edge as in or out of
-        its cone. A kept wall is built as a :class:`WreathHalfSpace` and
-        confirmed through :meth:`WreathHalfSpace.contains`.
+        Membership is tested by the definition: a word is in the cone at
+        ``deep`` when ``deep`` is a prefix of it. One prefix table maps each
+        prefix of a word occurring in a or b (a position or lamp site) to the
+        occurring words that start with it; a ball word missing from it has
+        an empty cone. Every ball word is still visited, as a letter tuple,
+        but what its edge keeps depends only on its cone, so each distinct
+        cone is evaluated once. A kept wall is built as a
+        :class:`WreathHalfSpace`, its deep endpoint the only word made from
+        the ball, and confirmed through :meth:`WreathHalfSpace.contains`.
 
         With ``decoration_sweep`` every decoration supported in the ball is
         tried instead of just the two restrictions; this validates that no
         other decoration can separate, at the cost of a much larger sweep.
+        Those candidates depend on the edge itself, so every word is evaluated.
         """
         self._check_elements(a, b)
         required = self.oracle_radius(a, b)
@@ -334,24 +342,27 @@ class WreathWallSpace:
             raise ValueError(
                 f"oracle radius {radius} too small: need >= {required} to confine all walls"
             )
-        ball = free_ball(self.rank, radius, self.cap)
-        occurring = {w.letters for x in (a, b) for w in (x.position, *x.lamps.support)}
+        starting: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        for x in (a, b):
+            for word in (x.position, *x.lamps.support):
+                for depth in range(1, len(word) + 1):
+                    starting.setdefault(word.letters[:depth], set()).add(word.letters)
+        cones = {prefix: frozenset(words) for prefix, words in starting.items()}
+        no_cone: frozenset[tuple[int, ...]] = frozenset()
         sites_a = [(p.letters, (p, v)) for p, v in a.lamps.entries]
         sites_b = [(p.letters, (p, v)) for p, v in b.lamps.entries]
-        found: list[WreathHalfSpace] = []
-        for deep in ball:
-            prefix = deep.letters
-            if not prefix:
-                continue
-            cone = {w for w in occurring if w[: len(prefix)] == prefix}
+
+        def kept(cone, decorations=None) -> list[tuple[Side, tuple, bool, bool]]:
+            """Side, decoration and memberships of each wall kept on an edge with this cone."""
+            walls = []
             for side in (Side.CONE, Side.COCONE):
                 inside = side is Side.CONE
                 on_side_a = (a.position.letters in cone) == inside
                 on_side_b = (b.position.letters in cone) == inside
                 beyond_a = tuple(e for w, e in sites_a if (w in cone) != inside)
                 beyond_b = tuple(e for w, e in sites_b if (w in cone) != inside)
-                if decoration_sweep:
-                    candidates = self._swept_decorations(ball, deep, inside)
+                if decorations is not None:
+                    candidates = decorations(inside)
                 elif beyond_a == beyond_b:
                     candidates = (beyond_a,)
                 else:
@@ -360,11 +371,34 @@ class WreathWallSpace:
                     in_a = on_side_a and beyond_a == decoration
                     in_b = on_side_b and beyond_b == decoration
                     if in_a != in_b:
-                        config = LampConfig(decoration, self.lamps, self.rank)
-                        half = WreathHalfSpace(TreeHalfSpace(TreeWall(deep), side), config)
-                        if half.contains(a) != in_a or half.contains(b) != in_b:
-                            raise RuntimeError(f"oracle membership disagrees with {half}.contains")
-                        found.append(half)
+                        walls.append((side, decoration, in_a, in_b))
+            return walls
+
+        found: list[WreathHalfSpace] = []
+
+        def confirm(deep: tuple[int, ...], side: Side, decoration: tuple, in_a: bool, in_b: bool):
+            config = LampConfig(decoration, self.lamps, self.rank)
+            base = TreeHalfSpace(TreeWall(ReducedWord(deep, self.rank)), side)
+            half = WreathHalfSpace(base, config)
+            if half.contains(a) != in_a or half.contains(b) != in_b:
+                raise RuntimeError(f"oracle membership disagrees with {half}.contains")
+            found.append(half)
+
+        if decoration_sweep:
+            ball = free_ball(self.rank, radius, self.cap)
+            for deep in ball[1:]:
+                sweep = functools.partial(self._swept_decorations, ball, deep)
+                for wall in kept(cones.get(deep.letters, no_cone), sweep):
+                    confirm(deep.letters, *wall)
+        else:
+            by_cone: dict[frozenset[tuple[int, ...]], list] = {}
+            for letters in itertools.islice(ball_letters(self.rank, radius, self.cap), 1, None):
+                cone = cones.get(letters, no_cone)
+                walls = by_cone.get(cone)
+                if walls is None:
+                    walls = by_cone[cone] = kept(cone)
+                for wall in walls:
+                    confirm(letters, *wall)
         return tuple(sorted(found, key=WreathHalfSpace.sort_key))
 
     def _swept_decorations(

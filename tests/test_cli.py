@@ -522,6 +522,21 @@ class TestModuleEntryPoint:
         assert result.returncode == 0
         assert result.stdout == "4\n"
 
+    def test_closed_stdout_exits_quietly(self):
+        # About 216 KB of listing: more than the pipe holds, so writes go on after the close.
+        child = subprocess.Popen(
+            [sys.executable, "-m", "wreathwalls", "--rank", "3", "proper", "--max-wall", "6"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=child_env(),
+        )
+        assert child.stdout.readline().startswith(b"box radius 7")
+        child.stdout.close()
+        stderr = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=60) == 0
+        assert stderr == b""
+
 
 # Runs main(argv) in a fresh interpreter, then reports its exit code and whether numpy is loaded.
 NUMPY_PROBE = """

@@ -128,7 +128,7 @@ def reference_brute_force(space, a, b, radius, decoration_sweep=False):
 
 
 @settings(deadline=None, max_examples=40)
-@given(element_tuples(2, max_len=2))
+@given(element_tuples(2, max_len=3))
 def test_brute_force_equals_reference_sweep(case):
     space, a, b = case
     radius = space.oracle_radius(a, b)

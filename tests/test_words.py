@@ -8,7 +8,7 @@ import random
 import pytest
 
 from wreathwalls import MAX_RANK, CapExceededError, ReducedWord, free_ball, predicted_ball_size
-from wreathwalls.groups import free_reduce, letter_char, letter_order
+from wreathwalls.groups import ball_letters, free_reduce, letter_char, letter_order
 
 from support import all_rewrite_results, brute_ball, naive_reduce, random_reduced_word
 
@@ -159,6 +159,13 @@ class TestBalls:
             free_ball(2, 10, cap=1000)
         assert info.value.predicted == predicted_ball_size(2, 10)
         assert info.value.cap == 1000
+
+    def test_ball_letters_are_the_words_letters_and_refuse_before_yielding(self):
+        for rank in (1, 2, 3):
+            for radius in range(4):
+                assert list(ball_letters(rank, radius)) == [w.letters for w in free_ball(rank, radius)]
+        with pytest.raises(CapExceededError):
+            ball_letters(2, 10, cap=1000)
 
     def test_cap_boundary_is_inclusive(self):
         size = predicted_ball_size(2, 3)

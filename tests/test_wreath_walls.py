@@ -6,6 +6,8 @@ import random
 
 import pytest
 
+from wreathwalls import walls as walls_module
+from wreathwalls import wreath_walls as wreath_walls_module
 from wreathwalls import (
     CapExceededError,
     LampConfig,
@@ -211,6 +213,40 @@ class TestWallDistance:
         with pytest.raises(ValueError):
             sp.brute_force_separating(a, b, radius - 1)
         assert len(sp.brute_force_separating(a, b, radius)) == sp.wall_distance(a, b)
+
+    def test_oracle_runs_without_the_closed_form(self, monkeypatch):
+        # Positions and lamp sites share prefixes, so some cones hold several occurring words.
+        sp = space(z3())
+        pairs = [
+            (elem("{ab:1,abB:2}|aba", z3()), elem("{a:2,aB:1}|ab", z3())),
+            (elem("{BB:1,BBa:1}|B", z3()), elem("{B:2}|BBa", z3())),
+            (elem("{}|1", z3()), elem("{a:1,aa:1,aaa:2}|aa", z3())),
+        ]
+        expected = []
+        for a, b in pairs:
+            walls = {*sp.directed_separating_walls(a, b), *sp.directed_separating_walls(b, a)}
+            expected.append(tuple(sorted(walls, key=WreathHalfSpace.sort_key)))
+
+        def closed_form(*args, **kwargs):
+            raise AssertionError("the oracle must not use the closed form")
+
+        for module in (walls_module, wreath_walls_module):
+            monkeypatch.setattr(module, "spanned_edges", closed_form)
+            monkeypatch.setattr(module, "separating_tree_walls", closed_form)
+        monkeypatch.setattr(WreathWallSpace, "base_walls", closed_form)
+        monkeypatch.setattr(WreathWallSpace, "_keyed_edges", closed_form)
+        with pytest.raises(AssertionError):
+            sp.wall_distance(*pairs[0])
+        for (a, b), walls in zip(pairs, expected):
+            assert sp.brute_force_separating(a, b, sp.oracle_radius(a, b)) == walls
+
+    def test_oracle_confirms_each_wall_through_contains(self, monkeypatch):
+        sp = space()
+        a, b = elem("{}|1"), elem("{a:1}|ab")
+        contains = WreathHalfSpace.contains
+        monkeypatch.setattr(WreathHalfSpace, "contains", lambda half, x: not contains(half, x))
+        with pytest.raises(RuntimeError, match="disagrees"):
+            sp.brute_force_separating(a, b, sp.oracle_radius(a, b))
 
     def test_pseudometric_axioms(self):
         rng = random.Random(113)
