@@ -14,7 +14,6 @@ from .embedding import (
     distance_matrix,
     growth_table,
     hamming_distances,
-    sample_walls,
     validate_distance_matrix,
     validate_sample,
     wall_coordinates,
@@ -45,7 +44,6 @@ from .groups import (
 from .walls import (
     Side,
     TreeHalfSpace,
-    TreeWall,
     separating_tree_walls,
     translate_half_space,
 )
@@ -66,7 +64,6 @@ __all__ = [
     "Side",
     "SublevelReport",
     "TreeHalfSpace",
-    "TreeWall",
     "WreathElement",
     "WreathHalfSpace",
     "WreathWallSpace",
@@ -85,7 +82,6 @@ __all__ = [
     "parse_sample_text",
     "parse_word",
     "predicted_ball_size",
-    "sample_walls",
     "separating_tree_walls",
     "translate_half_space",
     "validate_distance_matrix",

@@ -1,11 +1,12 @@
 """Command-line front end.
 
-Every command works over one session configuration: the free-group rank, the
-lamp group (cyclic order or explicit table file), an enumeration cap, an
-output format, and an eigenvalue tolerance. Results go to stdout, errors to
-stderr. Exit codes: 0 success, 1 a checked property failed (oracle mismatch,
-non-CND kernel, properness violation, isometry self-check), 2 usage or input
-errors. A reader that closes stdout early ends the output quietly, with 0.
+Every command works over one session: the wall space of the free-group rank,
+the lamp group (cyclic order or explicit table file) and an enumeration cap.
+It reads the output format and eigenvalue tolerance from its arguments.
+Results go to stdout, errors to stderr. Exit codes: 0 success, 1 a checked
+property failed (oracle mismatch, non-CND kernel, properness violation,
+isometry self-check), 2 usage or input errors. A reader that closes stdout
+early ends the output quietly, with 0.
 Identical invocations produce byte-identical output.
 """
 
@@ -15,7 +16,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -33,18 +34,6 @@ from .wreath_walls import SublevelReport, WreathHalfSpace, WreathWallSpace
 
 if TYPE_CHECKING:
     import numpy as np
-
-
-@dataclass
-class SessionConfig:
-    rank: int
-    lamps: LampGroup
-    cap: int
-    fmt: str
-    tol: float
-
-    def space(self) -> WreathWallSpace:
-        return WreathWallSpace(self.lamps, rank=self.rank, cap=self.cap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -114,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _session(args: argparse.Namespace) -> SessionConfig:
+def _session(args: argparse.Namespace) -> WreathWallSpace:
     if args.cap < 1:
         raise ValueError(f"cap must be >= 1, got {args.cap}")
     if args.lamp_table is not None:
@@ -124,7 +113,9 @@ def _session(args: argparse.Namespace) -> SessionConfig:
         check_table_order(order, args.cap)
         lamps = LampGroup.cyclic(order)
     check_tolerance(args.tol)
-    return SessionConfig(rank=args.rank, lamps=lamps, cap=args.cap, fmt=args.fmt, tol=args.tol)
+    if args.fmt == "csv" and args.command != "growth":
+        raise ValueError("csv output is not available for this command")
+    return WreathWallSpace(lamps, rank=args.rank, cap=args.cap)
 
 
 def _emit_json(payload) -> None:
@@ -133,36 +124,35 @@ def _emit_json(payload) -> None:
 
 def _half_space_dict(half: WreathHalfSpace) -> dict:
     return {
-        "base": {"side": half.base.side.value, "deep": str(half.base.wall.deep)},
+        "base": {"side": half.base.side.value, "deep": str(half.base.deep)},
         "decoration": {str(p): v for p, v in half.decoration.entries},
     }
 
 
-def _cmd_mul(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    left = parse_element(args.left, cfg.lamps, cfg.rank)
-    right = parse_element(args.right, cfg.lamps, cfg.rank)
+def _cmd_mul(space: WreathWallSpace, args: argparse.Namespace) -> int:
+    left = parse_element(args.left, space.lamps, space.rank)
+    right = parse_element(args.right, space.lamps, space.rank)
     product = left * right
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit_json({"element": str(product)})
     else:
         print(product)
     return 0
 
 
-def _cmd_inv(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    element = parse_element(args.element, cfg.lamps, cfg.rank)
+def _cmd_inv(space: WreathWallSpace, args: argparse.Namespace) -> int:
+    element = parse_element(args.element, space.lamps, space.rank)
     inverse = element.inverse()
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit_json({"element": str(inverse)})
     else:
         print(inverse)
     return 0
 
 
-def _cmd_dist(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    space = cfg.space()
-    first = parse_element(args.first, cfg.lamps, cfg.rank)
-    second = parse_element(args.second, cfg.lamps, cfg.rank)
+def _cmd_dist(space: WreathWallSpace, args: argparse.Namespace) -> int:
+    first = parse_element(args.first, space.lamps, space.rank)
+    second = parse_element(args.second, space.lamps, space.rank)
     if args.oracle:
         fast = {wall for wall, _ in space.separating_walls(first, second)}
         brute = set(
@@ -171,7 +161,7 @@ def _cmd_dist(cfg: SessionConfig, args: argparse.Namespace) -> int:
         payload = {"distance": len(fast), "oracle_ok": brute == fast}
     else:
         payload = {"distance": space.wall_distance(first, second)}
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit_json(payload)
     else:
         print(payload["distance"])
@@ -184,14 +174,13 @@ def _cmd_dist(cfg: SessionConfig, args: argparse.Namespace) -> int:
     return 1
 
 
-def _cmd_walls(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    space = cfg.space()
-    first = parse_element(args.first, cfg.lamps, cfg.rank)
-    second = parse_element(args.second, cfg.lamps, cfg.rank)
+def _cmd_walls(space: WreathWallSpace, args: argparse.Namespace) -> int:
+    first = parse_element(args.first, space.lamps, space.rank)
+    second = parse_element(args.second, space.lamps, space.rank)
     walls = space.separating_walls(first, second)
     forward = [wall for wall, rows in walls if rows == [0]]
     reverse = [wall for wall, rows in walls if rows == [1]]
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit_json(
             {
                 "forward": [_half_space_dict(w) for w in forward],
@@ -224,13 +213,13 @@ def _report_dict(report: SublevelReport) -> dict:
     }
 
 
-def _cmd_proper(cfg: SessionConfig, args: argparse.Namespace) -> int:
+def _cmd_proper(space: WreathWallSpace, args: argparse.Namespace) -> int:
     radius = args.radius if args.radius is not None else args.max_wall + 1
-    report = cfg.space().sublevel_report(args.max_wall, radius)
-    if cfg.fmt == "json":
+    report = space.sublevel_report(args.max_wall, radius)
+    if args.fmt == "json":
         _emit_json(_report_dict(report))
     else:
-        above = f"more than {cfg.cap}"
+        above = f"more than {space.cap}"
         if report.box_size is None:
             print(f"box radius {report.radius}: {above} elements, not enumerated")
         else:
@@ -248,11 +237,11 @@ def _cmd_proper(cfg: SessionConfig, args: argparse.Namespace) -> int:
     return 0 if report.contained else 1
 
 
-def _cmd_growth(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    rows = growth_table(cfg.space(), args.radius)
-    if cfg.fmt == "json":
+def _cmd_growth(space: WreathWallSpace, args: argparse.Namespace) -> int:
+    rows = growth_table(space, args.radius)
+    if args.fmt == "json":
         _emit_json([asdict(row) for row in rows])
-    elif cfg.fmt == "csv":
+    elif args.fmt == "csv":
         print("radius,sphere_size,min_wall,max_wall")
         for row in rows:
             print(f"{row.radius},{row.sphere_size},{row.min_wall},{row.max_wall}")
@@ -263,19 +252,18 @@ def _cmd_growth(cfg: SessionConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_cnd(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    space = cfg.space()
-    elements = load_sample_file(args.sample, cfg.lamps, cfg.rank)
+def _cmd_cnd(space: WreathWallSpace, args: argparse.Namespace) -> int:
+    elements = load_sample_file(args.sample, space.lamps, space.rank)
     matrix = distance_matrix(space, elements)
     wall_count = space.separating_wall_count(*elements)
-    report = cnd_check(matrix, cfg.tol)
+    report = cnd_check(matrix, args.tol)
     payload = {
         "pass": report.passed,
         "min_eigenvalue": report.min_eigenvalue,
         "dimension": report.dimension,
         "wall_count": wall_count,
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit_json(payload)
     else:
         print(
@@ -291,9 +279,8 @@ def _write_int_csv(path: Path, matrix: np.ndarray) -> None:
     path.write_text("\n".join(lines) + "\n")
 
 
-def _cmd_embed(cfg: SessionConfig, args: argparse.Namespace) -> int:
-    space = cfg.space()
-    elements = load_sample_file(args.sample, cfg.lamps, cfg.rank)
+def _cmd_embed(space: WreathWallSpace, args: argparse.Namespace) -> int:
+    elements = load_sample_file(args.sample, space.lamps, space.rank)
     matrix = distance_matrix(space, elements)
     walls, coordinates = wall_coordinates(space, elements)
     out = args.out
@@ -309,7 +296,7 @@ def _cmd_embed(cfg: SessionConfig, args: argparse.Namespace) -> int:
         "isometry_ok": isometry_ok,
         "out": str(out),
     }
-    if cfg.fmt == "json":
+    if args.fmt == "json":
         _emit_json(payload)
     else:
         print(
@@ -335,10 +322,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = _session(args)
-        if cfg.fmt == "csv" and args.command != "growth":
-            raise ValueError("csv output is not available for this command")
-        code = _COMMANDS[args.command](cfg, args)
+        code = _COMMANDS[args.command](_session(args), args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -70,22 +70,14 @@ def validate_distance_matrix(matrix: np.ndarray) -> None:
             raise ValueError(f"triangle inequality fails through index {k}")
 
 
-def sample_walls(space: WreathWallSpace, elements: list[WreathElement]) -> list[WreathHalfSpace]:
-    """Every wall separating some pair of sample elements, in canonical order.
-
-    The :meth:`~WreathWallSpace.separating_walls` of the sample, each built once.
-    """
-    return [wall for wall, _ in space.separating_walls(*elements)]
-
-
 def wall_coordinates(
     space: WreathWallSpace, elements: list[WreathElement]
 ) -> tuple[list[WreathHalfSpace], np.ndarray]:
     """0/1 wall coordinates realizing the wall distance as Hamming distance.
 
-    Marks membership of each element in the positive half of each of the
-    :func:`sample_walls`, as ``uint8``; over each base edge an element is in
-    exactly its own wall. Rows of the returned matrix differ in exactly
+    Marks membership of each element in the positive half of each of its
+    :meth:`~WreathWallSpace.separating_walls`, as ``uint8``; over each base
+    edge an element is in exactly its own wall. Rows of the returned matrix differ in exactly
     ``wall_distance`` coordinates: walls separating the pair flip, all
     others agree. The sample is not validated (:func:`distance_matrix`
     does that): an empty sample gives no rows, and repeated elements equal rows.
@@ -143,10 +135,14 @@ def cnd_check(matrix: np.ndarray, tol: float = 1e-9) -> CndReport:
     matrix = np.asarray(matrix, dtype=np.float64)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"kernel matrix must be square, got shape {matrix.shape}")
+    if matrix.size == 0:
+        raise ValueError("kernel matrix must be nonempty")
     if not np.array_equal(matrix, matrix.T):
         raise ValueError("kernel matrix is not symmetric")
     if np.any(matrix < 0):
         raise ValueError("kernel matrix has negative entries")
+    if not np.isfinite(matrix).all():
+        raise ValueError("kernel matrix has non-finite entries")
     n = matrix.shape[0]
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     centered = -0.5 * (centering @ matrix @ centering)

@@ -148,9 +148,6 @@ class ReducedWord:
             raise ValueError(f"rank mismatch: {self.rank} vs {prefix.rank}")
         return self.letters[: len(prefix.letters)] == prefix.letters
 
-    def prefix(self, length: int) -> "ReducedWord":
-        return ReducedWord(self.letters[:length], self.rank)
-
     def parent(self) -> "ReducedWord":
         """Drop the final letter: the adjacent Cayley-tree vertex nearer 1."""
         if not self.letters:
@@ -166,14 +163,6 @@ class ReducedWord:
 
     def __repr__(self) -> str:
         return f"ReducedWord({str(self)!r}, rank={self.rank})"
-
-
-def _built_reduced(letters: tuple[int, ...], rank: int) -> ReducedWord:
-    """A word its caller built reduced and within a checked rank, not validated again."""
-    word = object.__new__(ReducedWord)
-    object.__setattr__(word, "letters", letters)
-    object.__setattr__(word, "rank", rank)
-    return word
 
 
 def predicted_ball_size(rank: int, radius: int) -> int:
@@ -231,11 +220,8 @@ def _ball_levels(rank: int, radius: int) -> Iterator[tuple[int, ...]]:
 
 
 def free_ball(rank: int, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWord]:
-    """All reduced words of length <= radius, in shortlex order: :func:`ball_letters` as words.
-
-    No word is validated again: each is reduced by construction.
-    """
-    return [_built_reduced(letters, rank) for letters in ball_letters(rank, radius, cap)]
+    """All reduced words of length <= radius, in shortlex order: :func:`ball_letters` as words."""
+    return [ReducedWord(letters, rank) for letters in ball_letters(rank, radius, cap)]
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +376,6 @@ class LampConfig:
             if a == b:
                 raise ValueError(f"duplicate position {a} in lamp configuration")
         return cls(tuple(kept), lamps, rank)
-
-    def value_at(self, position: ReducedWord) -> int:
-        for p, v in self.entries:
-            if p == position:
-                return v
-        return 0
 
     @property
     def support(self) -> tuple[ReducedWord, ...]:

@@ -3,8 +3,8 @@
 A wall on a set is a partition into two half-spaces. The concrete walls used
 here are the edges of the Cayley tree of F_n: cutting the edge between a
 nonempty reduced word ``p`` and its parent splits the group into the cone of
-words extending ``p`` and everything else. One wall per tree edge, keyed by
-the deep endpoint, and the resulting wall distance is the word metric.
+words extending ``p`` and everything else. One wall per tree edge, and the
+wall is its deep endpoint ``p``; the resulting wall distance is the word metric.
 """
 
 from __future__ import annotations
@@ -26,53 +26,36 @@ class Side(Enum):
         return Side.COCONE if self is Side.CONE else Side.CONE
 
 
-@dataclass(frozen=True)
-class TreeWall:
-    """The wall cut by the tree edge joining ``deep`` to its parent word."""
-
-    deep: ReducedWord
-
-    def __post_init__(self) -> None:
-        if self.deep.is_identity:
-            raise ValueError("a tree wall needs a nonempty deep endpoint")
-
-    @property
-    def shallow(self) -> ReducedWord:
-        return self.deep.parent()
-
-    def sort_key(self) -> tuple:
-        return self.deep.sort_key()
-
-    def __str__(self) -> str:
-        return f"wall({self.deep})"
-
-
 _SIDE_ORDER = {Side.CONE: 0, Side.COCONE: 1}
 
 
 @dataclass(frozen=True)
 class TreeHalfSpace:
-    """One of the two classes of a tree wall.
+    """One of the two classes of the tree wall cut by the edge joining ``deep`` to its parent.
 
-    CONE is the set of words with the wall's deep endpoint as a prefix;
-    COCONE is its complement. The two sides partition F_n.
+    CONE is the set of words with ``deep`` as a prefix; COCONE is its
+    complement. The two sides partition F_n.
     """
 
-    wall: TreeWall
+    deep: ReducedWord
     side: Side
 
+    def __post_init__(self) -> None:
+        if self.deep.is_identity:
+            raise ValueError("a tree wall needs a nonempty deep endpoint")
+
     def contains(self, word: ReducedWord) -> bool:
-        on_cone_side = word.starts_with(self.wall.deep)
+        on_cone_side = word.starts_with(self.deep)
         return on_cone_side if self.side is Side.CONE else not on_cone_side
 
     def complement(self) -> "TreeHalfSpace":
-        return TreeHalfSpace(self.wall, self.side.flipped)
+        return TreeHalfSpace(self.deep, self.side.flipped)
 
     def sort_key(self) -> tuple:
-        return (self.wall.sort_key(), _SIDE_ORDER[self.side])
+        return (self.deep.sort_key(), _SIDE_ORDER[self.side])
 
     def __str__(self) -> str:
-        return f"{self.side.value}({self.wall.deep})"
+        return f"{self.side.value}({self.deep})"
 
 
 def spanned_edges(*words: ReducedWord) -> set[tuple[int, ...]]:
@@ -89,17 +72,16 @@ def spanned_edges(*words: ReducedWord) -> set[tuple[int, ...]]:
     return {w.letters[:i] for w in words for i in range(common + 1, len(w.letters) + 1)}
 
 
-def separating_tree_walls(*words: ReducedWord) -> tuple[TreeWall, ...]:
+def separating_tree_walls(*words: ReducedWord) -> tuple[ReducedWord, ...]:
     """The walls separating some two of the words: the :func:`spanned_edges`.
 
-    Returned sorted by deep endpoint.
+    Each wall is its deep endpoint; returned in shortlex order.
     """
     if len({w.rank for w in words}) > 1:
         raise ValueError(f"rank mismatch: {sorted({w.rank for w in words})}")
-    deeps = spanned_edges(*words)
-    walls = [TreeWall(ReducedWord(letters, words[0].rank)) for letters in deeps]
-    walls.sort(key=TreeWall.sort_key)
-    return tuple(walls)
+    deeps = [ReducedWord(letters, words[0].rank) for letters in spanned_edges(*words)]
+    deeps.sort(key=ReducedWord.sort_key)
+    return tuple(deeps)
 
 
 def translate_half_space(g: ReducedWord, half: TreeHalfSpace) -> TreeHalfSpace:
@@ -109,14 +91,12 @@ def translate_half_space(g: ReducedWord, half: TreeHalfSpace) -> TreeHalfSpace:
     becomes the new deep endpoint, and the side is chosen so that membership
     is equivariant: the result contains g*x exactly when ``half`` contains x.
     """
-    deep_image = g * half.wall.deep
-    shallow_image = g * half.wall.shallow
+    deep_image = g * half.deep
+    shallow_image = g * half.deep.parent()
     assert abs(len(deep_image) - len(shallow_image)) == 1
-    if len(deep_image) > len(shallow_image):
-        new_wall, cone_holds_image = TreeWall(deep_image), True
-    else:
-        new_wall, cone_holds_image = TreeWall(shallow_image), False
+    cone_holds_image = len(deep_image) > len(shallow_image)
+    new_deep = deep_image if cone_holds_image else shallow_image
     # The image of the CONE side is the component containing g*deep.
     side_of_image = Side.CONE if cone_holds_image else Side.COCONE
     side = side_of_image if half.side is Side.CONE else side_of_image.flipped
-    return TreeHalfSpace(new_wall, side)
+    return TreeHalfSpace(new_deep, side)

@@ -38,7 +38,6 @@ from .groups import (
 from .walls import (
     Side,
     TreeHalfSpace,
-    TreeWall,
     separating_tree_walls,
     spanned_edges,
     translate_half_space,
@@ -205,19 +204,19 @@ class WreathWallSpace:
         sites = {p for x in elements[1:] for p, _ in first.symmetric_difference(x.lamps.entries)}
         return [*(x.position for x in elements), *sites]
 
-    def base_walls(self, *elements: WreathElement) -> tuple[TreeWall, ...]:
+    def base_walls(self, *elements: WreathElement) -> tuple[ReducedWord, ...]:
         """The base walls carrying a wall between some two of the elements.
 
         The edges of the subtree spanned by every position and every site
         where two lamp configurations disagree, which is where one disagrees
         with the first; any other base wall has all the elements on one side
-        with equal lamps beyond it. Sorted by deep endpoint.
+        with equal lamps beyond it. Each is its deep endpoint, in shortlex order.
         """
         return separating_tree_walls(*self._spanning_words(elements))
 
     def _keyed_edges(
         self, elements: tuple[WreathElement, ...]
-    ) -> Iterator[tuple[TreeWall, dict[tuple, list[int]]]]:
+    ) -> Iterator[tuple[ReducedWord, dict[tuple, list[int]]]]:
         """Each of the :meth:`base_walls`, with the elements keyed by their wall over it.
 
         Over each such edge, an element lies in exactly one wall's positive
@@ -229,7 +228,7 @@ class WreathWallSpace:
         positions = [x.position.letters for x in elements]
         sites = [[(p.letters, (p, v)) for p, v in x.lamps.entries] for x in elements]
         for edge in self.base_walls(*elements):
-            deep = edge.deep.letters
+            deep = edge.letters
             depth = len(deep)
             members: dict[tuple, list[int]] = {}
             for i, position, entries in zip(index, positions, sites):
@@ -378,7 +377,7 @@ class WreathWallSpace:
 
         def confirm(deep: tuple[int, ...], side: Side, decoration: tuple, in_a: bool, in_b: bool):
             config = LampConfig(decoration, self.lamps, self.rank)
-            base = TreeHalfSpace(TreeWall(ReducedWord(deep, self.rank)), side)
+            base = TreeHalfSpace(ReducedWord(deep, self.rank), side)
             half = WreathHalfSpace(base, config)
             if half.contains(a) != in_a or half.contains(b) != in_b:
                 raise RuntimeError(f"oracle membership disagrees with {half}.contains")

@@ -12,7 +12,6 @@ from wreathwalls import (
     ReducedWord,
     Side,
     TreeHalfSpace,
-    TreeWall,
     WreathElement,
     WreathWallSpace,
 )
@@ -167,7 +166,7 @@ def random_tree_half_space(rng: random.Random, rank: int, max_len: int) -> TreeH
         deep = random_reduced_word(rng, rank, max_len)
         if not deep.is_identity:
             break
-    return TreeHalfSpace(TreeWall(deep), rng.choice([Side.CONE, Side.COCONE]))
+    return TreeHalfSpace(deep, rng.choice([Side.CONE, Side.COCONE]))
 
 
 def random_wreath_half_space(

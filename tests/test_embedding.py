@@ -18,7 +18,6 @@ from wreathwalls import (
     distance_matrix,
     growth_table,
     hamming_distances,
-    sample_walls,
     validate_distance_matrix,
     validate_sample,
     wall_coordinates,
@@ -113,8 +112,8 @@ class TestWallCoordinates:
 
     def test_sample_walls_of_empty_and_single_samples_are_empty(self):
         sp = WreathWallSpace(z2(), 2)
-        assert sample_walls(sp, []) == []
-        assert sample_walls(sp, sample(["{a:1,b:1}|ab"])) == []
+        assert sp.separating_walls() == []
+        assert sp.separating_walls(*sample(["{a:1,b:1}|ab"])) == []
 
     def test_each_wall_is_built_once(self, monkeypatch):
         builds = []
@@ -217,6 +216,10 @@ class TestCndCheck:
             cnd_check(np.zeros((2, 3)))
         with pytest.raises(ValueError):
             cnd_check(np.array([[0, -1], [-1, 0]]))
+        with pytest.raises(ValueError, match="nonempty"):
+            cnd_check(np.zeros((0, 0)))
+        with pytest.raises(ValueError, match="non-finite"):
+            cnd_check([[0, float("inf")], [float("inf"), 0]])
 
     def test_report_is_plain_data(self):
         report = cnd_check(np.zeros((2, 2)))

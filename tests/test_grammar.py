@@ -63,8 +63,8 @@ class TestParseConfig:
 
     def test_entries(self):
         c = parse_config("{1:1,a:1}", z2(), 2)
-        assert c.value_at(parse_word("1", 2)) == 1
-        assert c.value_at(parse_word("a", 2)) == 1
+        assert dict(c.entries).get(parse_word("1", 2), 0) == 1
+        assert dict(c.entries).get(parse_word("a", 2), 0) == 1
 
     def test_entry_order_is_normalized(self):
         assert str(parse_config("{ab:1,1:1}", z2(), 2)) == "{1:1,ab:1}"

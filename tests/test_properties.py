@@ -4,7 +4,7 @@ Hypothesis draws a lamp group (Z/2, Z/3 or S3), a rank from 1 to 3, and
 words, elements or samples. The n-point ``separating_tree_walls`` and
 ``base_walls`` must equal the union of their pairwise calls, the closed form
 ``wall_distance`` must agree with both directed enumerations and with the
-brute-force search, ``sample_walls`` with the pairwise union of directed
+brute-force search, ``separating_walls`` with the pairwise union of directed
 walls (and ``separating_wall_count`` with their number), and the wall
 coordinates with per-cell membership and, by Hamming distance, with the
 distance matrix. A random element must lie in the generated sub-level set
@@ -13,31 +13,41 @@ brute-force search itself must equal a plain reference sweep, the wall
 distance must be left-invariant, and the left action on half-spaces must be
 equivariant. On breadth-first word-metric
 spheres, word length must be ``d(1, x) - |pos| + |supp|``: the premise of the
-growth series.
+growth series. The walls and ``translate`` must give an isometric action with
+cocycle ``b(g) = χ{E ∋ g} − χ{E ∋ 1}`` over positive halves E (Cherix–Martin–Valette
+2004), whose norms are the wall distance. Formatting and parsing words,
+configurations, elements, sample text and lamp tables must round-trip.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from collections import Counter
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathwalls import (
+    MAX_RANK,
     LampConfig,
+    LampGroup,
     ReducedWord,
     Side,
     TreeHalfSpace,
-    TreeWall,
     WreathElement,
     WreathHalfSpace,
     WreathWallSpace,
     distance_matrix,
+    format_lamp_table,
     free_ball,
     hamming_distances,
-    sample_walls,
+    parse_config,
+    parse_element,
+    parse_lamp_table,
+    parse_sample_text,
+    parse_word,
     separating_tree_walls,
     wall_coordinates,
 )
@@ -110,7 +120,7 @@ def reference_brute_force(space, a, b, radius, decoration_sweep=False):
     found = set()
     for deep in ball[1:]:
         for side in (Side.CONE, Side.COCONE):
-            base = TreeHalfSpace(TreeWall(deep), side)
+            base = TreeHalfSpace(deep, side)
             outside = lambda p: not base.contains(p)
             if decoration_sweep:
                 positions = [p for p in ball if outside(p)]
@@ -172,7 +182,7 @@ def test_sample_walls_equal_pairwise_directed_union(case):
             union.update(space.directed_separating_walls(sample[j], sample[i]))
             edges.update(space.base_walls(sample[i], sample[j]))
     assert space.base_walls(*sample) == tuple(sorted(edges, key=lambda w: w.sort_key()))
-    walls = sample_walls(space, sample)
+    walls = [wall for wall, _ in space.separating_walls(*sample)]
     assert walls == sorted(union, key=lambda w: w.sort_key())
     assert len(set(walls)) == len(walls)
 
@@ -181,7 +191,7 @@ def test_sample_walls_equal_pairwise_directed_union(case):
 @given(samples(min_size=0))
 def test_wall_count_equals_sample_walls(case):
     space, sample = case
-    assert space.separating_wall_count(*sample) == len(sample_walls(space, sample))
+    assert space.separating_wall_count(*sample) == len(space.separating_walls(*sample))
 
 
 @functools.lru_cache(maxsize=None)
@@ -228,3 +238,79 @@ def test_word_length_is_wall_distance_minus_position_plus_support(lamp_index, ra
     identity = space.identity()
     for x in spheres[radius]:
         assert radius == space.wall_distance(identity, x) - len(x.position) + len(x.lamps.support)
+
+
+def cocycle(space: WreathWallSpace, g: WreathElement) -> Counter:
+    """``b(g)``: +1 on each positive half holding g but not 1, −1 on each holding 1 but not g."""
+    one = space.identity()
+    b = Counter(space.directed_separating_walls(g, one))
+    b.subtract(space.directed_separating_walls(one, g))
+    return b
+
+
+def cancelled(b: Counter) -> dict:
+    return {wall: c for wall, c in b.items() if c}
+
+
+def squared_norm(b: Counter) -> int:
+    return sum(c * c for c in b.values())
+
+
+@settings(deadline=None, max_examples=80)
+@given(element_tuples(2, max_len=3))
+def test_cocycle_identity(case):
+    space, g, h = case
+    moved = Counter()
+    for wall, c in cocycle(space, h).items():
+        moved[space.translate(g, wall)] += c
+    total = cocycle(space, g)
+    total.update(moved)
+    assert cancelled(cocycle(space, g * h)) == cancelled(total)
+
+
+@settings(deadline=None, max_examples=80)
+@given(element_tuples(2, max_len=3))
+def test_cocycle_norms_are_wall_distances(case):
+    space, g, h = case
+    assert squared_norm(cocycle(space, g)) == space.wall_distance(space.identity(), g)
+    difference = cocycle(space, g)
+    difference.subtract(cocycle(space, h))
+    assert squared_norm(difference) == space.wall_distance(g, h)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, MAX_RANK).flatmap(lambda rank: words(rank, 8)))
+def test_word_round_trip(word):
+    assert parse_word(str(word), word.rank) == word
+
+
+@settings(deadline=None, max_examples=60)
+@given(samples(min_size=0))
+def test_config_element_and_sample_round_trip(case):
+    space, sample = case
+    for x in sample:
+        assert parse_config(str(x.lamps), space.lamps, space.rank) == x.lamps
+        assert parse_element(str(x), space.lamps, space.rank) == x
+    text = "".join(f"{x}\n" for x in sample)
+    assert parse_sample_text(text, space.lamps, space.rank) == sample
+
+
+def relabelled(lamps: LampGroup, ids: list[int]) -> LampGroup:
+    """The same group with element ``i`` renamed ``ids[i]`` (``ids[0]`` must stay 0)."""
+    table = [[0] * lamps.order for _ in lamps.elements()]
+    for a in lamps.elements():
+        for b in lamps.elements():
+            table[ids[a]][ids[b]] = ids[lamps.mul(a, b)]
+    return LampGroup(table)
+
+
+@settings(deadline=None, max_examples=50)
+@given(st.one_of(
+    st.integers(2, 12).map(LampGroup.cyclic),
+    st.permutations(range(1, 6)).map(lambda p: relabelled(s3(), [0, *p])),
+))
+def test_lamp_table_round_trip(lamps):
+    text = format_lamp_table(lamps)
+    assert parse_lamp_table(text) == lamps
+    assert format_lamp_table(parse_lamp_table(text)) == text
+

@@ -10,7 +10,6 @@ from wreathwalls import (
     ReducedWord,
     Side,
     TreeHalfSpace,
-    TreeWall,
     free_ball,
     separating_tree_walls,
     translate_half_space,
@@ -25,17 +24,17 @@ def word(text, rank=2):
 
 
 def cone(text, rank=2):
-    return TreeHalfSpace(TreeWall(word(text, rank)), Side.CONE)
+    return TreeHalfSpace(word(text, rank), Side.CONE)
 
 
 def cocone(text, rank=2):
-    return TreeHalfSpace(TreeWall(word(text, rank)), Side.COCONE)
+    return TreeHalfSpace(word(text, rank), Side.COCONE)
 
 
 class TestHalfSpaces:
     def test_wall_needs_nonempty_deep_endpoint(self):
         with pytest.raises(ValueError):
-            TreeWall(ReducedWord.identity(2))
+            TreeHalfSpace(ReducedWord.identity(2), Side.CONE)
 
     def test_cone_membership_is_prefix_test(self):
         h = cone("ab")
@@ -66,11 +65,11 @@ class TestHalfSpaces:
 class TestSeparation:
     def test_identity_to_word_walls_are_its_prefixes(self):
         walls = separating_tree_walls(word("1"), word("aba"))
-        assert [str(w.deep) for w in walls] == ["a", "ab", "aba"]
+        assert [str(w) for w in walls] == ["a", "ab", "aba"]
 
     def test_branching_pair_uses_both_geodesic_legs(self):
         walls = separating_tree_walls(word("ab"), word("aB"))
-        assert sorted(str(w.deep) for w in walls) == ["aB", "ab"]
+        assert sorted(str(w) for w in walls) == ["aB", "ab"]
 
     def test_count_is_word_metric_on_ball_pairs(self):
         ball = free_ball(2, 3)
@@ -90,9 +89,8 @@ class TestSeparation:
             for deep in free_ball(2, 5):
                 if deep.is_identity:
                     continue
-                w = TreeWall(deep)
                 separates = x.starts_with(deep) != y.starts_with(deep)
-                assert (w in listed) == separates
+                assert (deep in listed) == separates
 
     def test_sorted_by_deep_endpoint(self):
         walls = separating_tree_walls(word("bA"), word("ab"))

@@ -92,7 +92,6 @@ class TestReducedWord:
 
     def test_prefix_operations(self):
         w = word([1, 2, -1])
-        assert w.prefix(2) == word([1, 2])
         assert w.parent() == word([1, 2])
         assert w.starts_with(word([1]))
         assert not w.starts_with(word([2]))

@@ -14,7 +14,6 @@ from wreathwalls import (
     LampGroup,
     Side,
     TreeHalfSpace,
-    TreeWall,
     WreathElement,
     WreathWallSpace,
 )
@@ -34,7 +33,7 @@ def elem(text, lamps=None, rank=2):
 
 def half(side, deep, decoration_pairs, lamps=None, rank=2):
     lamps = lamps if lamps is not None else z2()
-    base = TreeHalfSpace(TreeWall(parse_word(deep, rank)), side)
+    base = TreeHalfSpace(parse_word(deep, rank), side)
     decoration = LampConfig.from_pairs(
         [(parse_word(p, rank), v) for p, v in decoration_pairs], lamps, rank
     )
@@ -80,7 +79,7 @@ class TestWreathHalfSpace:
             if deep.is_identity:
                 continue
             for side in (Side.CONE, Side.COCONE):
-                base = TreeHalfSpace(TreeWall(deep), side)
+                base = TreeHalfSpace(deep, side)
                 decorations = [LampConfig.empty(lamps, 2)]
                 for p in free_ball(2, 1):
                     if not base.contains(p):
