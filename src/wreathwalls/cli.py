@@ -16,9 +16,9 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from collections.abc import Iterable, Iterator
+from dataclasses import asdict, fields
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .embedding import (
     check_tolerance,
@@ -29,11 +29,11 @@ from .embedding import (
     wall_coordinates,
 )
 from .grammar import ParseError, load_lamp_table, load_sample_file, parse_element
-from .groups import DEFAULT_CAP, CapExceededError, LampGroup, check_table_order
-from .wreath_walls import SublevelReport, WreathHalfSpace, WreathWallSpace
+from .groups import DEFAULT_CAP, CapExceededError, LampGroup, WreathElement, check_table_order
+from .wreath_walls import WreathHalfSpace, WreathWallSpace
 
-if TYPE_CHECKING:
-    import numpy as np
+# What a command returns: exit code, the ``--format json`` payload, and the text lines.
+Result = tuple[int, object, Iterable[str]]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,8 +118,8 @@ def _session(args: argparse.Namespace) -> WreathWallSpace:
     return WreathWallSpace(lamps, rank=args.rank, cap=args.cap)
 
 
-def _emit_json(payload) -> None:
-    print(json.dumps(payload, sort_keys=True))
+def _parse(space: WreathWallSpace, *texts: str) -> list[WreathElement]:
+    return [parse_element(text, space.lamps, space.rank) for text in texts]
 
 
 def _half_space_dict(half: WreathHalfSpace) -> dict:
@@ -129,130 +129,87 @@ def _half_space_dict(half: WreathHalfSpace) -> dict:
     }
 
 
-def _cmd_mul(space: WreathWallSpace, args: argparse.Namespace) -> int:
-    left = parse_element(args.left, space.lamps, space.rank)
-    right = parse_element(args.right, space.lamps, space.rank)
-    product = left * right
-    if args.fmt == "json":
-        _emit_json({"element": str(product)})
-    else:
-        print(product)
-    return 0
+def _cmd_mul(space: WreathWallSpace, args: argparse.Namespace) -> Result:
+    left, right = _parse(space, args.left, args.right)
+    product = str(left * right)
+    return 0, {"element": product}, [product]
 
 
-def _cmd_inv(space: WreathWallSpace, args: argparse.Namespace) -> int:
-    element = parse_element(args.element, space.lamps, space.rank)
-    inverse = element.inverse()
-    if args.fmt == "json":
-        _emit_json({"element": str(inverse)})
-    else:
-        print(inverse)
-    return 0
+def _cmd_inv(space: WreathWallSpace, args: argparse.Namespace) -> Result:
+    (element,) = _parse(space, args.element)
+    inverse = str(element.inverse())
+    return 0, {"element": inverse}, [inverse]
 
 
-def _cmd_dist(space: WreathWallSpace, args: argparse.Namespace) -> int:
-    first = parse_element(args.first, space.lamps, space.rank)
-    second = parse_element(args.second, space.lamps, space.rank)
-    if args.oracle:
-        fast = {wall for wall, _ in space.separating_walls(first, second)}
-        brute = set(
-            space.brute_force_separating(first, second, space.oracle_radius(first, second))
-        )
-        payload = {"distance": len(fast), "oracle_ok": brute == fast}
-    else:
-        payload = {"distance": space.wall_distance(first, second)}
-    if args.fmt == "json":
-        _emit_json(payload)
-    else:
-        print(payload["distance"])
-    if payload.get("oracle_ok", True):
-        return 0
-    print("oracle mismatch: brute-force walls differ from the fast enumeration", file=sys.stderr)
-    for label, only in (("brute force", brute - fast), ("fast enumeration", fast - brute)):
-        for wall in sorted(only, key=WreathHalfSpace.sort_key):
-            print(f"  only in {label}: {wall}", file=sys.stderr)
-    return 1
+def _cmd_dist(space: WreathWallSpace, args: argparse.Namespace) -> Result:
+    first, second = _parse(space, args.first, args.second)
+    if not args.oracle:
+        distance = space.wall_distance(first, second)
+        return 0, {"distance": distance}, [str(distance)]
+    fast = {wall for wall, _ in space.separating_walls(first, second)}
+    brute = set(space.brute_force_separating(first, second, space.oracle_radius(first, second)))
+    if brute != fast:
+        message = "oracle mismatch: brute-force walls differ from the fast enumeration"
+        print(message, file=sys.stderr)
+        for label, only in (("brute force", brute - fast), ("fast enumeration", fast - brute)):
+            for wall in sorted(only, key=WreathHalfSpace.sort_key):
+                print(f"  only in {label}: {wall}", file=sys.stderr)
+    payload = {"distance": len(fast), "oracle_ok": brute == fast}
+    return (0 if brute == fast else 1), payload, [str(len(fast))]
 
 
-def _cmd_walls(space: WreathWallSpace, args: argparse.Namespace) -> int:
-    first = parse_element(args.first, space.lamps, space.rank)
-    second = parse_element(args.second, space.lamps, space.rank)
+def _cmd_walls(space: WreathWallSpace, args: argparse.Namespace) -> Result:
+    first, second = _parse(space, args.first, args.second)
     walls = space.separating_walls(first, second)
     forward = [wall for wall, rows in walls if rows == [0]]
     reverse = [wall for wall, rows in walls if rows == [1]]
-    if args.fmt == "json":
-        _emit_json(
-            {
-                "forward": [_half_space_dict(w) for w in forward],
-                "reverse": [_half_space_dict(w) for w in reverse],
-                "distance": len(forward) + len(reverse),
-            }
-        )
-    else:
-        for wall in forward:
-            print(f"1->2 {wall}")
-        for wall in reverse:
-            print(f"2->1 {wall}")
-        print(f"total {len(forward) + len(reverse)}")
-    return 0
-
-
-def _report_dict(report: SublevelReport) -> dict:
-    return {
-        "rank": report.rank,
-        "lamp_order": report.lamp_order,
-        "max_wall": report.max_wall,
-        "radius": report.radius,
-        "box_size": report.box_size,
-        "sublevel_count": report.sublevel_count,
-        "sublevel": [str(e) for e in report.sublevel],
-        "base_ball_size": report.base_ball_size,
-        "cardinality_bound": report.cardinality_bound,
-        "contained": report.contained,
-        "violations": [str(e) for e in report.violations],
+    distance = len(forward) + len(reverse)
+    payload = {
+        "forward": [_half_space_dict(w) for w in forward],
+        "reverse": [_half_space_dict(w) for w in reverse],
+        "distance": distance,
     }
+    lines = [*(f"1->2 {w}" for w in forward), *(f"2->1 {w}" for w in reverse)]
+    return 0, payload, [*lines, f"total {distance}"]
 
 
-def _cmd_proper(space: WreathWallSpace, args: argparse.Namespace) -> int:
+def _cmd_proper(space: WreathWallSpace, args: argparse.Namespace) -> Result:
     radius = args.radius if args.radius is not None else args.max_wall + 1
     report = space.sublevel_report(args.max_wall, radius)
-    if args.fmt == "json":
-        _emit_json(_report_dict(report))
-    else:
+    sublevel = [str(e) for e in report.sublevel]
+    violations = [str(e) for e in report.violations]
+    payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    payload.update(sublevel=sublevel, violations=violations, sublevel_count=len(sublevel))
+
+    def lines() -> Iterator[str]:
         above = f"more than {space.cap}"
         if report.box_size is None:
-            print(f"box radius {report.radius}: {above} elements, not enumerated")
+            yield f"box radius {report.radius}: {above} elements, not enumerated"
         else:
-            print(f"box radius {report.radius}: {report.box_size} elements enumerated")
+            yield f"box radius {report.radius}: {report.box_size} elements enumerated"
         bound = above if report.cardinality_bound is None else report.cardinality_bound
-        print(
-            f"wall distance <= {report.max_wall}: {report.sublevel_count} elements"
-            f" (bound {bound})"
-        )
-        for element in report.sublevel:
-            print(f"  {element}")
-        print(f"contained in radius-{report.max_wall} box: {'yes' if report.contained else 'NO'}")
-        for element in report.violations:
-            print(f"  violation: {element}")
-    return 0 if report.contained else 1
+        yield f"wall distance <= {report.max_wall}: {len(sublevel)} elements (bound {bound})"
+        yield from (f"  {element}" for element in sublevel)
+        yield f"contained in radius-{report.max_wall} box: {'yes' if report.contained else 'NO'}"
+        yield from (f"  violation: {element}" for element in violations)
+
+    return (0 if report.contained else 1), payload, lines()
 
 
-def _cmd_growth(space: WreathWallSpace, args: argparse.Namespace) -> int:
+def _cmd_growth(space: WreathWallSpace, args: argparse.Namespace) -> Result:
     rows = growth_table(space, args.radius)
-    if args.fmt == "json":
-        _emit_json([asdict(row) for row in rows])
-    elif args.fmt == "csv":
-        print("radius,sphere_size,min_wall,max_wall")
-        for row in rows:
-            print(f"{row.radius},{row.sphere_size},{row.min_wall},{row.max_wall}")
+    if args.fmt == "csv":
+        lines = ["radius,sphere_size,min_wall,max_wall"]
+        lines += (f"{r.radius},{r.sphere_size},{r.min_wall},{r.max_wall}" for r in rows)
     else:
-        print("radius sphere_size min_wall max_wall")
-        for row in rows:
-            print(f"{row.radius:6d} {row.sphere_size:11d} {row.min_wall:8d} {row.max_wall:8d}")
-    return 0
+        lines = ["radius sphere_size min_wall max_wall"]
+        lines += (
+            f"{r.radius:6d} {r.sphere_size:11d} {r.min_wall:8d} {r.max_wall:8d}" for r in rows
+        )
+    return 0, [asdict(row) for row in rows], lines
 
 
-def _cmd_cnd(space: WreathWallSpace, args: argparse.Namespace) -> int:
+def _cmd_cnd(space: WreathWallSpace, args: argparse.Namespace) -> Result:
     elements = load_sample_file(args.sample, space.lamps, space.rank)
     matrix = distance_matrix(space, elements)
     wall_count = space.separating_wall_count(*elements)
@@ -263,32 +220,27 @@ def _cmd_cnd(space: WreathWallSpace, args: argparse.Namespace) -> int:
         "dimension": report.dimension,
         "wall_count": wall_count,
     }
-    if args.fmt == "json":
-        _emit_json(payload)
-    else:
-        print(
-            f"{'pass' if report.passed else 'FAIL'}"
-            f" min_eigenvalue={report.min_eigenvalue:.3e}"
-            f" dimension={report.dimension} wall_count={wall_count}"
-        )
-    return 0 if report.passed else 1
+    line = (
+        f"{'pass' if report.passed else 'FAIL'} min_eigenvalue={report.min_eigenvalue:.3e}"
+        f" dimension={report.dimension} wall_count={wall_count}"
+    )
+    return (0 if report.passed else 1), payload, [line]
 
 
-def _write_int_csv(path: Path, matrix: np.ndarray) -> None:
-    lines = [",".join(str(int(v)) for v in row) for row in matrix]
-    path.write_text("\n".join(lines) + "\n")
+def _write_lines(path: Path, lines: Iterable) -> None:
+    path.write_text("".join(f"{line}\n" for line in lines))
 
 
-def _cmd_embed(space: WreathWallSpace, args: argparse.Namespace) -> int:
+def _cmd_embed(space: WreathWallSpace, args: argparse.Namespace) -> Result:
     elements = load_sample_file(args.sample, space.lamps, space.rank)
     matrix = distance_matrix(space, elements)
     walls, coordinates = wall_coordinates(space, elements)
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
-    (out / "elements.txt").write_text("".join(f"{e}\n" for e in elements))
-    (out / "walls.txt").write_text("".join(f"{w}\n" for w in walls))
-    _write_int_csv(out / "distances.csv", matrix)
-    _write_int_csv(out / "coordinates.csv", coordinates)
+    _write_lines(out / "elements.txt", elements)
+    _write_lines(out / "walls.txt", walls)
+    for name, array in (("distances.csv", matrix), ("coordinates.csv", coordinates)):
+        _write_lines(out / name, (",".join(map(str, row.tolist())) for row in array))
     isometry_ok = bool((hamming_distances(coordinates) == matrix).all())
     payload = {
         "dimension": len(elements),
@@ -296,14 +248,11 @@ def _cmd_embed(space: WreathWallSpace, args: argparse.Namespace) -> int:
         "isometry_ok": isometry_ok,
         "out": str(out),
     }
-    if args.fmt == "json":
-        _emit_json(payload)
-    else:
-        print(
-            f"wrote {len(elements)} elements x {len(walls)} walls to {out};"
-            f" isometry self-check {'ok' if isometry_ok else 'FAILED'}"
-        )
-    return 0 if isometry_ok else 1
+    line = (
+        f"wrote {len(elements)} elements x {len(walls)} walls to {out};"
+        f" isometry self-check {'ok' if isometry_ok else 'FAILED'}"
+    )
+    return (0 if isometry_ok else 1), payload, [line]
 
 
 _COMMANDS = {
@@ -322,7 +271,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _COMMANDS[args.command](_session(args), args)
+        code, payload, lines = _COMMANDS[args.command](_session(args), args)
+        if args.fmt == "json":
+            print(json.dumps(payload, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -54,11 +54,14 @@ def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np
 
 
 def validate_distance_matrix(matrix: np.ndarray) -> None:
-    """Check square shape, symmetry, zero diagonal, nonnegativity, triangle inequality."""
+    """Check square shape, finite entries, symmetry, zero diagonal, nonnegativity and the
+    triangle inequality."""
     import numpy as np
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"distance matrix must be square, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError("distance matrix has non-finite entries")
     if not np.array_equal(matrix, matrix.T):
         raise ValueError("distance matrix is not symmetric")
     if np.any(np.diag(matrix) != 0):
@@ -137,12 +140,12 @@ def cnd_check(matrix: np.ndarray, tol: float = 1e-9) -> CndReport:
         raise ValueError(f"kernel matrix must be square, got shape {matrix.shape}")
     if matrix.size == 0:
         raise ValueError("kernel matrix must be nonempty")
+    if not np.isfinite(matrix).all():
+        raise ValueError("kernel matrix has non-finite entries")
     if not np.array_equal(matrix, matrix.T):
         raise ValueError("kernel matrix is not symmetric")
     if np.any(matrix < 0):
         raise ValueError("kernel matrix has negative entries")
-    if not np.isfinite(matrix).all():
-        raise ValueError("kernel matrix has non-finite entries")
     n = matrix.shape[0]
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     centered = -0.5 * (centering @ matrix @ centering)

@@ -48,9 +48,6 @@ class TreeHalfSpace:
         on_cone_side = word.starts_with(self.deep)
         return on_cone_side if self.side is Side.CONE else not on_cone_side
 
-    def complement(self) -> "TreeHalfSpace":
-        return TreeHalfSpace(self.deep, self.side.flipped)
-
     def sort_key(self) -> tuple:
         return (self.deep.sort_key(), _SIDE_ORDER[self.side])
 

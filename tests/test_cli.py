@@ -104,15 +104,19 @@ class TestDistCommand:
         payload = json.loads(out)
         assert payload == {"distance": 4, "oracle_ok": True}
 
-    def test_oracle_mismatch_exits_one(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_oracle_mismatch_exits_one(self, capsys, monkeypatch, fmt):
         from wreathwalls.wreath_walls import WreathWallSpace
 
         monkeypatch.setattr(
             WreathWallSpace, "brute_force_separating", lambda *a, **k: ()
         )
-        code, out, err = run(capsys, "dist", "--oracle", "{}|1", "{}|a")
+        code, out, err = run(capsys, "--format", fmt, "dist", "--oracle", "{}|1", "{}|a")
         assert code == 1
-        assert out == "2\n"
+        if fmt == "json":
+            assert json.loads(out) == {"distance": 2, "oracle_ok": False}
+        else:
+            assert out == "2\n"
         assert "mismatch" in err
         assert "only in fast enumeration: E(COCONE(a), {})" in err
         assert "only in fast enumeration: E(CONE(a), {})" in err
@@ -218,15 +222,23 @@ class TestProperCommand:
             "wall distance <= 2: 26 elements (bound more than 100)",
         ]
 
-    def test_violation_exits_one(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_violation_exits_one(self, capsys, monkeypatch, fmt):
         from wreathwalls.grammar import parse_element
         from wreathwalls.wreath_walls import WreathWallSpace
 
         escaped = lambda self, n: [parse_element("{aa:1}|1", self.lamps, self.rank)]
         monkeypatch.setattr(WreathWallSpace, "sublevel", escaped)
-        code, out, _ = run(capsys, "--rank", "1", "proper", "--max-wall", "1")
+        code, out, _ = run(capsys, "--rank", "1", "--format", fmt, "proper", "--max-wall", "1")
         assert code == 1
-        assert out.splitlines()[-2:] == ["contained in radius-1 box: NO", "  violation: {aa:1}|1"]
+        if fmt == "json":
+            report = json.loads(out)
+            assert (report["contained"], report["violations"]) == (False, ["{aa:1}|1"])
+        else:
+            assert out.splitlines()[-2:] == [
+                "contained in radius-1 box: NO",
+                "  violation: {aa:1}|1",
+            ]
 
 
 class TestGrowthCommand:
@@ -293,7 +305,8 @@ class TestCndCommand:
         assert payload["pass"] is True
         assert payload["dimension"] == 3
 
-    def test_failing_kernel_exits_one(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_failing_kernel_exits_one(self, capsys, tmp_path, monkeypatch, fmt):
         import wreathwalls.cli as cli
 
         monkeypatch.setattr(
@@ -303,9 +316,12 @@ class TestCndCommand:
         )
         sample = tmp_path / "sample.txt"
         sample.write_text("{}|1\n{}|a\n")
-        code, out, _ = run(capsys, "cnd", "--sample", str(sample))
+        code, out, _ = run(capsys, "--format", fmt, "cnd", "--sample", str(sample))
         assert code == 1
-        assert out.startswith("FAIL")
+        if fmt == "json":
+            assert json.loads(out)["pass"] is False
+        else:
+            assert out.startswith("FAIL")
 
     def test_wall_count_matches_embed_and_coordinates(self, capsys, tmp_path):
         from wreathwalls import LampGroup, WreathWallSpace, wall_coordinates

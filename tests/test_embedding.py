@@ -66,6 +66,9 @@ class TestDistanceMatrix:
             validate_distance_matrix(np.array([[0, 1, 9], [1, 0, 1], [9, 1, 0]]))
         with pytest.raises(ValueError):
             validate_distance_matrix(np.zeros((2, 3)))
+        for bad in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                validate_distance_matrix(np.array([[0, bad], [bad, 0]]))
 
     def test_accepts_wall_distance_matrices(self):
         rng = random.Random(211)
@@ -218,8 +221,9 @@ class TestCndCheck:
             cnd_check(np.array([[0, -1], [-1, 0]]))
         with pytest.raises(ValueError, match="nonempty"):
             cnd_check(np.zeros((0, 0)))
-        with pytest.raises(ValueError, match="non-finite"):
-            cnd_check([[0, float("inf")], [float("inf"), 0]])
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(ValueError, match="non-finite"):
+                cnd_check([[0, bad], [bad, 0]])
 
     def test_report_is_plain_data(self):
         report = cnd_check(np.zeros((2, 2)))

@@ -3,9 +3,10 @@
 Every case runs ``main`` in process and compares stdout byte for byte, with
 the exit code. The expectations are the output of the code before the
 wall-structure layer was folded into the tree walls; they hold every later
-refactoring to the same bytes. The ``embed`` case also pins its four export
-files, captured before the sample's wall union was taken from one element's
-base walls.
+refactoring to the same bytes. The ``mul``, ``inv``, csv ``growth`` and capped
+``proper`` cases were captured before the commands shared one output path.
+The ``embed`` case also pins its four export files, captured before the
+sample's wall union was taken from one element's base walls.
 """
 
 from __future__ import annotations
@@ -29,6 +30,26 @@ SAMPLE = (
 )
 
 CASES = {
+    "mul": (
+        ["mul", "{a:1}|b", "{B:1}|ab"],
+        0,
+        "{1:1,a:1}|bab\n",
+    ),
+    "mul_json": (
+        ["--format", "json", "mul", "{a:1}|b", "{B:1}|ab"],
+        0,
+        '{"element": "{1:1,a:1}|bab"}\n',
+    ),
+    "inv": (
+        ["inv", "{a:1,bA:1}|ba"],
+        0,
+        "{AA:1,ABa:1}|AB\n",
+    ),
+    "inv_json": (
+        ["--format", "json", "inv", "{a:1,bA:1}|ba"],
+        0,
+        '{"element": "{AA:1,ABa:1}|AB"}\n',
+    ),
     "walls": (
         ["walls", "{a:1}|b", "{B:1}|ab"],
         0,
@@ -173,6 +194,21 @@ CASES = {
             '"violations": []}\n'
         ),
     ),
+    # Both box sizes are above the cap, so JSON shows them as null.
+    "proper_capped_json": (
+        ["--cap", "100", "--format", "json", "proper", "--max-wall", "2"],
+        0,
+        (
+            '{"base_ball_size": 17, "box_size": null, "cardinality_bound": null, '
+            '"contained": true, "lamp_order": 2, "max_wall": 2, "radius": 3, "rank": 2, '
+            '"sublevel": ["{}|1", "{1:1}|1", "{1:1,a:1}|1", "{1:1,A:1}|1", '
+            '"{1:1,b:1}|1", "{1:1,B:1}|1", "{a:1}|1", "{A:1}|1", "{b:1}|1", "{B:1}|1", '
+            '"{}|a", "{1:1}|a", "{1:1,a:1}|a", "{a:1}|a", "{}|A", "{1:1}|A", '
+            '"{1:1,A:1}|A", "{A:1}|A", "{}|b", "{1:1}|b", "{1:1,b:1}|b", "{b:1}|b", '
+            '"{}|B", "{1:1}|B", "{1:1,B:1}|B", "{B:1}|B"], "sublevel_count": 26, '
+            '"violations": []}\n'
+        ),
+    ),
     "growth": (
         ["growth", "--radius", "3"],
         0,
@@ -183,6 +219,11 @@ CASES = {
             "     2          20        2        4\n"
             "     3          80        2        6\n"
         ),
+    ),
+    "growth_csv": (
+        ["--format", "csv", "growth", "--radius", "3"],
+        0,
+        "radius,sphere_size,min_wall,max_wall\n0,1,0,0\n1,5,0,2\n2,20,2,4\n3,80,2,6\n",
     ),
     "growth_json": (
         ["--format", "json", "growth", "--radius", "3"],
