@@ -65,13 +65,16 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     mul = sub.add_parser("mul", help="multiply two elements")
+    mul.set_defaults(run=_cmd_mul)
     mul.add_argument("left")
     mul.add_argument("right")
 
     inv = sub.add_parser("inv", help="invert an element")
+    inv.set_defaults(run=_cmd_inv)
     inv.add_argument("element")
 
     dist = sub.add_parser("dist", help="wall distance between two elements")
+    dist.set_defaults(run=_cmd_dist)
     dist.add_argument("first")
     dist.add_argument("second")
     dist.add_argument(
@@ -81,22 +84,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     walls = sub.add_parser("walls", help="list the walls separating two elements")
+    walls.set_defaults(run=_cmd_walls)
     walls.add_argument("first")
     walls.add_argument("second")
 
     proper = sub.add_parser("proper", help="exhaustive sub-level properness report")
+    proper.set_defaults(run=_cmd_proper)
     proper.add_argument("--max-wall", type=int, required=True)
     proper.add_argument(
         "--radius", type=int, default=None, help="enumeration radius (default max-wall + 1)"
     )
 
     growth = sub.add_parser("growth", help="wall distance along word-metric spheres")
+    growth.set_defaults(run=_cmd_growth)
     growth.add_argument("--radius", type=int, required=True)
 
     cnd = sub.add_parser("cnd", help="CND check of a sample's wall distance matrix")
+    cnd.set_defaults(run=_cmd_cnd)
     cnd.add_argument("--sample", type=Path, required=True)
 
     embed = sub.add_parser("embed", help="export wall coordinates and distances as CSV")
+    embed.set_defaults(run=_cmd_embed)
     embed.add_argument("--sample", type=Path, required=True)
     embed.add_argument("--out", type=Path, required=True)
 
@@ -255,23 +263,11 @@ def _cmd_embed(space: WreathWallSpace, args: argparse.Namespace) -> Result:
     return (0 if isometry_ok else 1), payload, [line]
 
 
-_COMMANDS = {
-    "mul": _cmd_mul,
-    "inv": _cmd_inv,
-    "dist": _cmd_dist,
-    "walls": _cmd_walls,
-    "proper": _cmd_proper,
-    "growth": _cmd_growth,
-    "cnd": _cmd_cnd,
-    "embed": _cmd_embed,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code, payload, lines = _COMMANDS[args.command](_session(args), args)
+        code, payload, lines = args.run(_session(args), args)
         if args.fmt == "json":
             print(json.dumps(payload, sort_keys=True))
         else:

@@ -3,7 +3,7 @@
 The element grammar (produced by ``str()`` on the corresponding types):
 
     word        := "1" | letter+          letters a..z generators, A..Z inverses
-    lampentry   := word ":" elementId     elementId decimal, 1..order-1
+    lampentry   := word ":" elementId     elementId ASCII decimal, 1..order-1
     config      := "{" [lampentry ("," lampentry)*] "}"
     wreath      := config "|" word        e.g. "{1:1,a:1}|ab"
 
@@ -11,8 +11,9 @@ Words are freely reduced on parse, so ``parse_element(str(x)) == x`` and
 ``str(parse_element(s))`` is the canonical (shortlex-sorted, reduced) form.
 
 A lamp table file starts with a line ``order k`` followed by k lines of k
-space-separated ids, row times column. A sample file holds one wreath
-literal per line; ``#`` starts a comment and blank lines are skipped.
+space-separated ASCII decimal ids, row times column. A sample file holds
+one wreath literal per line; ``#`` starts a comment and blank lines are
+skipped.
 """
 
 from __future__ import annotations
@@ -94,7 +95,7 @@ def _scan_config(
         positions_seen.add(position)
         i = _expect(text, i, ":")
         value_start = i
-        while i < len(text) and text[i].isdigit():
+        while i < len(text) and "0" <= text[i] <= "9":
             i += 1
         if i == value_start:
             found = text[i] if i < len(text) else "end of input"
@@ -175,7 +176,7 @@ def _parse_table_lines(lines: Iterable[str], cap: int) -> LampGroup:
     if first is None:
         raise ValueError("empty lamp table")
     header = first.split()
-    if len(header) != 2 or header[0] != "order" or not header[1].isdigit():
+    if not first.isascii() or len(header) != 2 or header[0] != "order" or not header[1].isdigit():
         raise ValueError(f"lamp table must start with 'order k', got {first!r}")
     order = int(header[1])
     check_table_order(order, cap)
@@ -184,9 +185,8 @@ def _parse_table_lines(lines: Iterable[str], cap: int) -> LampGroup:
         raise ValueError(f"expected {order} table rows, got {len(rows)}")
     table = []
     for lineno, line in enumerate(rows, start=2):
-        fields = line.split()
-        try:
-            row = [int(field) for field in fields]
+        try:  # int() alone would also read digits of other scripts
+            row = [int(field.encode("ascii")) for field in line.split()]
         except ValueError:
             raise ValueError(f"line {lineno}: table entries must be integers") from None
         table.append(row)

@@ -201,22 +201,25 @@ def ball_letters(rank: int, radius: int, cap: int = DEFAULT_CAP) -> Iterator[tup
     return _ball_levels(rank, radius)
 
 
+_LETTERS = tuple(x for i in range(1, MAX_RANK + 1) for x in (i, -i))  # a, A, b, B, ...
+
+
+def tree_children(letters: tuple[int, ...], rank: int) -> list[tuple[int, ...]]:
+    """The Cayley-tree children of a reduced word: one letter longer, in shortlex order."""
+    back = -letters[-1] if letters else 0
+    children = []
+    for letter in _LETTERS[: 2 * rank]:
+        if letter != back:
+            children.append(letters + (letter,))
+    return children
+
+
 def _ball_levels(rank: int, radius: int) -> Iterator[tuple[int, ...]]:
-    alphabet = sorted(
-        [i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)],
-        key=letter_order,
-    )
     level: list[tuple[int, ...]] = [()]
     yield ()
     for _ in range(radius):
-        next_level: list[tuple[int, ...]] = []
-        for letters in level:
-            last = letters[-1] if letters else 0
-            for letter in alphabet:
-                if letter != -last:
-                    next_level.append(letters + (letter,))
-        yield from next_level
-        level = next_level
+        level = [child for letters in level for child in tree_children(letters, rank)]
+        yield from level
 
 
 def free_ball(rank: int, radius: int, cap: int = DEFAULT_CAP) -> list[ReducedWord]:

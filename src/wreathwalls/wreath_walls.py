@@ -16,7 +16,6 @@ spanned-edge series, with the exhaustive box sweep as their oracle.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator
@@ -34,6 +33,7 @@ from .groups import (
     check_rank,
     free_ball,
     predicted_ball_size,
+    tree_children,
 )
 from .walls import (
     Side,
@@ -299,10 +299,7 @@ class WreathWallSpace:
         One more than the longest word occurring as a position or lamp site
         of either element.
         """
-        occurring = [len(a.position), len(b.position)]
-        occurring.extend(len(p) for p in a.lamps.support)
-        occurring.extend(len(p) for p in b.lamps.support)
-        return max(occurring) + 1
+        return max(len(w) for x in (a, b) for w in (x.position, *x.lamps.support)) + 1
 
     def brute_force_separating(
         self,
@@ -330,10 +327,12 @@ class WreathWallSpace:
         :class:`WreathHalfSpace`, its deep endpoint the only word made from
         the ball, and confirmed through :meth:`WreathHalfSpace.contains`.
 
-        With ``decoration_sweep`` every decoration supported in the ball is
-        tried instead of just the two restrictions; this validates that no
-        other decoration can separate, at the cost of a much larger sweep.
-        Those candidates depend on the edge itself, so every word is evaluated.
+        With ``decoration_sweep`` every decoration supported in the ball
+        beyond each edge is tried instead of just the two restrictions, and
+        :meth:`WreathHalfSpace.contains` alone decides which separate; this
+        validates that no other decoration can separate, at the cost of a
+        much larger sweep. Refuses above the cap before testing an edge whose
+        decorations would exceed it.
         """
         self._check_elements(a, b)
         required = self.oracle_radius(a, b)
@@ -341,6 +340,21 @@ class WreathWallSpace:
             raise ValueError(
                 f"oracle radius {radius} too small: need >= {required} to confine all walls"
             )
+        found: list[WreathHalfSpace] = []
+        if decoration_sweep:
+            ball = free_ball(self.rank, radius, self.cap)
+            for deep, side in itertools.product(ball[1:], (Side.CONE, Side.COCONE)):
+                base = TreeHalfSpace(deep, side)
+                beyond = [p for p in ball if not base.contains(p)]
+                predicted = capped_power(self.lamps.order, len(beyond), self.cap)
+                if predicted is None or predicted > self.cap:
+                    raise CapExceededError(predicted, self.cap, "decoration sweep")
+                for values in itertools.product(self.lamps.elements(), repeat=len(beyond)):
+                    config = LampConfig.from_pairs(zip(beyond, values), self.lamps, self.rank)
+                    half = WreathHalfSpace(base, config)
+                    if half.contains(a) != half.contains(b):
+                        found.append(half)
+            return tuple(sorted(found, key=WreathHalfSpace.sort_key))
         starting: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
         for x in (a, b):
             for word in (x.position, *x.lamps.support):
@@ -351,7 +365,7 @@ class WreathWallSpace:
         sites_a = [(p.letters, (p, v)) for p, v in a.lamps.entries]
         sites_b = [(p.letters, (p, v)) for p, v in b.lamps.entries]
 
-        def kept(cone, decorations=None) -> list[tuple[Side, tuple, bool, bool]]:
+        def kept(cone) -> list[tuple[Side, tuple, bool, bool]]:
             """Side, decoration and memberships of each wall kept on an edge with this cone."""
             walls = []
             for side in (Side.CONE, Side.COCONE):
@@ -360,61 +374,26 @@ class WreathWallSpace:
                 on_side_b = (b.position.letters in cone) == inside
                 beyond_a = tuple(e for w, e in sites_a if (w in cone) != inside)
                 beyond_b = tuple(e for w, e in sites_b if (w in cone) != inside)
-                if decorations is not None:
-                    candidates = decorations(inside)
-                elif beyond_a == beyond_b:
-                    candidates = (beyond_a,)
-                else:
-                    candidates = (beyond_a, beyond_b)
-                for decoration in candidates:
+                for decoration in {beyond_a, beyond_b}:
                     in_a = on_side_a and beyond_a == decoration
                     in_b = on_side_b and beyond_b == decoration
                     if in_a != in_b:
                         walls.append((side, decoration, in_a, in_b))
             return walls
 
-        found: list[WreathHalfSpace] = []
-
-        def confirm(deep: tuple[int, ...], side: Side, decoration: tuple, in_a: bool, in_b: bool):
-            config = LampConfig(decoration, self.lamps, self.rank)
-            base = TreeHalfSpace(ReducedWord(deep, self.rank), side)
-            half = WreathHalfSpace(base, config)
-            if half.contains(a) != in_a or half.contains(b) != in_b:
-                raise RuntimeError(f"oracle membership disagrees with {half}.contains")
-            found.append(half)
-
-        if decoration_sweep:
-            ball = free_ball(self.rank, radius, self.cap)
-            for deep in ball[1:]:
-                sweep = functools.partial(self._swept_decorations, ball, deep)
-                for wall in kept(cones.get(deep.letters, no_cone), sweep):
-                    confirm(deep.letters, *wall)
-        else:
-            by_cone: dict[frozenset[tuple[int, ...]], list] = {}
-            for letters in itertools.islice(ball_letters(self.rank, radius, self.cap), 1, None):
-                cone = cones.get(letters, no_cone)
-                walls = by_cone.get(cone)
-                if walls is None:
-                    walls = by_cone[cone] = kept(cone)
-                for wall in walls:
-                    confirm(letters, *wall)
+        by_cone: dict[frozenset[tuple[int, ...]], list] = {}
+        for letters in itertools.islice(ball_letters(self.rank, radius, self.cap), 1, None):
+            cone = cones.get(letters, no_cone)
+            walls = by_cone.get(cone)
+            if walls is None:
+                walls = by_cone[cone] = kept(cone)
+            for side, decoration, in_a, in_b in walls:
+                base = TreeHalfSpace(ReducedWord(letters, self.rank), side)
+                half = WreathHalfSpace(base, LampConfig(decoration, self.lamps, self.rank))
+                if half.contains(a) != in_a or half.contains(b) != in_b:
+                    raise RuntimeError(f"oracle membership disagrees with {half}.contains")
+                found.append(half)
         return tuple(sorted(found, key=WreathHalfSpace.sort_key))
-
-    def _swept_decorations(
-        self, ball: list[ReducedWord], deep: ReducedWord, inside: bool
-    ) -> Iterator[tuple[tuple[ReducedWord, int], ...]]:
-        """Entries of every decoration supported in the ball beyond the edge at ``deep``.
-
-        Refuses above the cap before yielding any.
-        """
-        positions = [p for p in ball if (p.letters[: len(deep)] == deep.letters) != inside]
-        predicted = capped_power(self.lamps.order, len(positions), self.cap)
-        if predicted is None or predicted > self.cap:
-            raise CapExceededError(predicted, self.cap, "decoration sweep")
-        return (
-            tuple((p, v) for p, v in zip(positions, values) if v)
-            for values in itertools.product(self.lamps.elements(), repeat=len(positions))
-        )
 
     # -- properness ---------------------------------------------------------
 
@@ -470,19 +449,15 @@ class WreathWallSpace:
         the frontier after the previously added one, together with its own
         children.
         """
-        letters = [*range(1, self.rank + 1), *range(-self.rank, 0)]
-
-        def children(vertex: tuple[int, ...]) -> list[tuple[int, ...]]:
-            last = vertex[-1] if vertex else 0
-            return [vertex + (letter,) for letter in letters if letter != -last]
 
         def grow(vertices, frontier):
             yield vertices
             if len(vertices) <= max_edges:
                 for i, vertex in enumerate(frontier):
-                    yield from grow(vertices + [vertex], frontier[i + 1 :] + children(vertex))
+                    children = tree_children(vertex, self.rank)
+                    yield from grow(vertices + [vertex], frontier[i + 1 :] + children)
 
-        return grow([()], children(()))
+        return grow([()], tree_children((), self.rank))
 
     def sublevel(self, max_wall: int) -> list[WreathElement]:
         """Every element at wall distance <= max_wall from the identity, in canonical order.

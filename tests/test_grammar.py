@@ -90,6 +90,16 @@ class TestParseConfig:
             with pytest.raises(ParseError):
                 parse_config(bad, z2(), 2)
 
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0663", "\uff11"])
+    def test_lamp_ids_are_ascii_digits(self, digit):
+        # Superscript two, Arabic-Indic three, fullwidth one: str.isdigit() holds for all three.
+        with pytest.raises(ParseError) as info:
+            parse_element(f"{{a:{digit}}}|1", z3(), 2)
+        assert info.value.position == 3
+        assert str(info.value) == f"expected a lamp id, found {digit!r} at position 3"
+        with pytest.raises(ParseError, match="line 2: expected a lamp id"):
+            parse_sample_text(f"{{}}|1\n{{a:{digit}}}|1\n", z3(), 2)
+
 
 class TestParseElement:
     def test_identity(self):
@@ -163,6 +173,16 @@ class TestLampTables:
     def test_rejects_non_integer_entries(self):
         with pytest.raises(ValueError):
             parse_lamp_table("order 2\n0 x\n1 0\n")
+
+    @pytest.mark.parametrize("digit", ["\u00b2", "\u0662"])
+    def test_header_and_rows_are_ascii_digits(self, digit):
+        # Superscript two fails int(); Arabic-Indic two would be read as 2.
+        with pytest.raises(ValueError, match="must start with 'order k'"):
+            parse_lamp_table(f"order {digit}\n0 1\n1 0\n")
+        with pytest.raises(ValueError, match="line 3: table entries must be integers"):
+            parse_lamp_table("order 2\n0 1\n1 0\n".replace("1 0", f"{digit} 0"))
+        with pytest.raises(ValueError, match="line 2: table entries must be integers"):
+            parse_lamp_table("order 2\n0 \u0661\n1 0\n")
 
     def test_rejects_non_group_tables(self):
         with pytest.raises(ValueError):

@@ -192,6 +192,22 @@ class TestWallDistance:
             swept = set(sp.brute_force_separating(a, b, radius=2, decoration_sweep=True))
             assert plain == swept
 
+    def test_decoration_sweep_decides_through_contains(self, monkeypatch):
+        # With a membership test that also admits every element in the base
+        # showing no lamps beyond it, each decoration supported in the ball
+        # separates 1 from a over the edge at a: 8 on the cone, 4 on the cocone.
+        contains = WreathHalfSpace.contains
+
+        def loose(h, x):
+            beyond = x.lamps.restrict(lambda p: not h.base.contains(p))
+            return contains(h, x) or (h.base.contains(x.position) and beyond.is_empty)
+
+        monkeypatch.setattr(WreathHalfSpace, "contains", loose)
+        sp = WreathWallSpace(z2(), rank=1)
+        a, b = elem("{}|1", rank=1), elem("{}|a", rank=1)
+        assert len(sp.brute_force_separating(a, b, radius=2)) == 2
+        assert len(sp.brute_force_separating(a, b, radius=2, decoration_sweep=True)) == 12
+
     def test_decoration_sweep_refuses_above_cap(self):
         # Outside the cone of ``a`` lie 13 of the 17 words in the radius-2 ball: 2**13 decorations.
         sp = WreathWallSpace(z2(), rank=2, cap=1000)
