@@ -42,7 +42,6 @@ from .groups import (
     predicted_ball_size,
 )
 from .walls import (
-    Side,
     TreeHalfSpace,
     separating_tree_walls,
     translate_half_space,
@@ -61,7 +60,6 @@ __all__ = [
     "MAX_RANK",
     "ParseError",
     "ReducedWord",
-    "Side",
     "SublevelReport",
     "TreeHalfSpace",
     "WreathElement",

@@ -18,6 +18,7 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 from .embedding import (
@@ -28,12 +29,22 @@ from .embedding import (
     hamming_distances,
     wall_coordinates,
 )
-from .grammar import ParseError, load_lamp_table, load_sample_file, parse_element
+from .grammar import ParseError, load_lamp_table, load_sample_file, parse_element, parse_int
 from .groups import DEFAULT_CAP, CapExceededError, LampGroup, WreathElement, check_table_order
 from .wreath_walls import WreathHalfSpace, WreathWallSpace
 
 # What a command returns: exit code, the ``--format json`` payload, and the text lines.
 Result = tuple[int, object, Iterable[str]]
+
+
+def _number(text: str, kind: type = int) -> int | float:
+    """A numeric flag value: ASCII without ``_``, and an int by :func:`grammar.parse_int`."""
+    try:
+        if text.isascii() and "_" not in text:
+            return parse_int(text) if kind is int else float(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"invalid {kind.__name__} value: {text!r}")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -45,22 +56,21 @@ def build_parser() -> argparse.ArgumentParser:
             "Hilbert-embedding certification."
         ),
     )
-    parser.add_argument("--rank", type=int, default=2, help="free-group rank (default 2)")
+    parser.add_argument("--rank", type=_number, default=2, help="free-group rank (default 2)")
     lamp = parser.add_mutually_exclusive_group()
-    lamp.add_argument(
-        "--lamp-order", type=int, default=None, help="cyclic lamp group order (default 2)"
-    )
-    lamp.add_argument(
-        "--lamp-table", type=Path, default=None, help="lamp group multiplication table file"
-    )
+    lamp.add_argument("--lamp-order", type=_number, help="cyclic lamp group order (default 2)")
+    lamp.add_argument("--lamp-table", type=Path, help="lamp group multiplication table file")
     parser.add_argument(
-        "--cap", type=int, default=DEFAULT_CAP, help="enumeration cardinality cap"
+        "--cap", type=_number, default=DEFAULT_CAP, help="enumeration cardinality cap"
     )
     parser.add_argument(
         "--format", dest="fmt", choices=("text", "json", "csv"), default="text"
     )
     parser.add_argument(
-        "--tol", type=float, default=1e-9, help="eigenvalue tolerance for the CND check"
+        "--tol",
+        type=partial(_number, kind=float),
+        default=1e-9,
+        help="eigenvalue tolerance for the CND check",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -90,14 +100,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     proper = sub.add_parser("proper", help="exhaustive sub-level properness report")
     proper.set_defaults(run=_cmd_proper)
-    proper.add_argument("--max-wall", type=int, required=True)
-    proper.add_argument(
-        "--radius", type=int, default=None, help="enumeration radius (default max-wall + 1)"
-    )
+    proper.add_argument("--max-wall", type=_number, required=True)
+    proper.add_argument("--radius", type=_number, help="enumeration radius (default max-wall + 1)")
 
     growth = sub.add_parser("growth", help="wall distance along word-metric spheres")
     growth.set_defaults(run=_cmd_growth)
-    growth.add_argument("--radius", type=int, required=True)
+    growth.add_argument("--radius", type=_number, required=True)
 
     cnd = sub.add_parser("cnd", help="CND check of a sample's wall distance matrix")
     cnd.set_defaults(run=_cmd_cnd)
@@ -132,7 +140,7 @@ def _parse(space: WreathWallSpace, *texts: str) -> list[WreathElement]:
 
 def _half_space_dict(half: WreathHalfSpace) -> dict:
     return {
-        "base": {"side": half.base.side.value, "deep": str(half.base.deep)},
+        "base": {"side": half.base.side, "deep": str(half.base.deep)},
         "decoration": {str(p): v for p, v in half.decoration.entries},
     }
 

@@ -11,9 +11,9 @@ Words are freely reduced on parse, so ``parse_element(str(x)) == x`` and
 ``str(parse_element(s))`` is the canonical (shortlex-sorted, reduced) form.
 
 A lamp table file starts with a line ``order k`` followed by k lines of k
-space-separated ASCII decimal ids, row times column. A sample file holds
-one wreath literal per line; ``#`` starts a comment and blank lines are
-skipped.
+space-separated ids, row times column, each an integer by :func:`parse_int`.
+A sample file holds one wreath literal per line; ``#`` starts a comment and
+blank lines are skipped.
 """
 
 from __future__ import annotations
@@ -37,7 +37,14 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
-        self.position = position
+        self.message, self.position = message, position
+
+
+def parse_int(text: str) -> int:
+    """An integer of a flag or a lamp table row: ASCII ``-?[0-9]+``, no ``+``, ``_`` or spaces."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _scan_word(text: str, start: int, rank: int) -> tuple[ReducedWord, int]:
@@ -150,7 +157,7 @@ def parse_sample_text(text: str, lamps: LampGroup, rank: int) -> list[WreathElem
         try:
             elements.append(parse_element(line, lamps, rank))
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc.args[0]}", exc.position) from exc
+            raise ParseError(f"line {lineno}: {exc.message}", exc.position) from exc
     return elements
 
 
@@ -185,8 +192,8 @@ def _parse_table_lines(lines: Iterable[str], cap: int) -> LampGroup:
         raise ValueError(f"expected {order} table rows, got {len(rows)}")
     table = []
     for lineno, line in enumerate(rows, start=2):
-        try:  # int() alone would also read digits of other scripts
-            row = [int(field.encode("ascii")) for field in line.split()]
+        try:
+            row = [parse_int(field) for field in line.split()]
         except ValueError:
             raise ValueError(f"line {lineno}: table entries must be integers") from None
         table.append(row)

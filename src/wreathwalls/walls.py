@@ -10,49 +10,38 @@ wall is its deep endpoint ``p``; the resulting wall distance is the word metric.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 from .groups import ReducedWord
-
-
-class Side(Enum):
-    """Which half of a tree wall: the cone of the deep endpoint, or the rest."""
-
-    CONE = "CONE"
-    COCONE = "COCONE"
-
-    @property
-    def flipped(self) -> "Side":
-        return Side.COCONE if self is Side.CONE else Side.CONE
-
-
-_SIDE_ORDER = {Side.CONE: 0, Side.COCONE: 1}
 
 
 @dataclass(frozen=True)
 class TreeHalfSpace:
     """One of the two classes of the tree wall cut by the edge joining ``deep`` to its parent.
 
-    CONE is the set of words with ``deep`` as a prefix; COCONE is its
-    complement. The two sides partition F_n.
+    With ``cone`` true it is the set of words with ``deep`` as a prefix (the
+    CONE side), otherwise its complement (COCONE). The two sides partition F_n.
     """
 
     deep: ReducedWord
-    side: Side
+    cone: bool
 
     def __post_init__(self) -> None:
         if self.deep.is_identity:
             raise ValueError("a tree wall needs a nonempty deep endpoint")
 
     def contains(self, word: ReducedWord) -> bool:
-        on_cone_side = word.starts_with(self.deep)
-        return on_cone_side if self.side is Side.CONE else not on_cone_side
+        return word.starts_with(self.deep) == self.cone
 
     def sort_key(self) -> tuple:
-        return (self.deep.sort_key(), _SIDE_ORDER[self.side])
+        return (self.deep.sort_key(), not self.cone)
+
+    @property
+    def side(self) -> str:
+        """The printed name of the side, CONE or COCONE."""
+        return "CONE" if self.cone else "COCONE"
 
     def __str__(self) -> str:
-        return f"{self.side.value}({self.deep})"
+        return f"{self.side}({self.deep})"
 
 
 def spanned_edges(*words: ReducedWord) -> set[tuple[int, ...]]:
@@ -93,7 +82,5 @@ def translate_half_space(g: ReducedWord, half: TreeHalfSpace) -> TreeHalfSpace:
     assert abs(len(deep_image) - len(shallow_image)) == 1
     cone_holds_image = len(deep_image) > len(shallow_image)
     new_deep = deep_image if cone_holds_image else shallow_image
-    # The image of the CONE side is the component containing g*deep.
-    side_of_image = Side.CONE if cone_holds_image else Side.COCONE
-    side = side_of_image if half.side is Side.CONE else side_of_image.flipped
-    return TreeHalfSpace(new_deep, side)
+    # The image of the cone is the component containing g*deep.
+    return TreeHalfSpace(new_deep, half.cone == cone_holds_image)

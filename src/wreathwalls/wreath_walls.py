@@ -36,7 +36,6 @@ from .groups import (
     tree_children,
 )
 from .walls import (
-    Side,
     TreeHalfSpace,
     separating_tree_walls,
     spanned_edges,
@@ -246,7 +245,7 @@ class WreathWallSpace:
         walls = []
         for edge, members in self._keyed_edges(elements):
             for (inside, beyond), rows in members.items():
-                base = TreeHalfSpace(edge, Side.CONE if inside else Side.COCONE)
+                base = TreeHalfSpace(edge, inside)
                 decoration = LampConfig(beyond, self.lamps, self.rank)
                 walls.append((WreathHalfSpace(base, decoration), rows))
         walls.sort(key=lambda pair: pair[0].sort_key())
@@ -343,8 +342,8 @@ class WreathWallSpace:
         found: list[WreathHalfSpace] = []
         if decoration_sweep:
             ball = free_ball(self.rank, radius, self.cap)
-            for deep, side in itertools.product(ball[1:], (Side.CONE, Side.COCONE)):
-                base = TreeHalfSpace(deep, side)
+            for deep, inside in itertools.product(ball[1:], (True, False)):
+                base = TreeHalfSpace(deep, inside)
                 beyond = [p for p in ball if not base.contains(p)]
                 predicted = capped_power(self.lamps.order, len(beyond), self.cap)
                 if predicted is None or predicted > self.cap:
@@ -365,11 +364,10 @@ class WreathWallSpace:
         sites_a = [(p.letters, (p, v)) for p, v in a.lamps.entries]
         sites_b = [(p.letters, (p, v)) for p, v in b.lamps.entries]
 
-        def kept(cone) -> list[tuple[Side, tuple, bool, bool]]:
-            """Side, decoration and memberships of each wall kept on an edge with this cone."""
+        def kept(cone) -> list[tuple[bool, tuple, bool, bool]]:
+            """Cone or not, decoration and memberships of each wall kept on this cone's edges."""
             walls = []
-            for side in (Side.CONE, Side.COCONE):
-                inside = side is Side.CONE
+            for inside in (True, False):
                 on_side_a = (a.position.letters in cone) == inside
                 on_side_b = (b.position.letters in cone) == inside
                 beyond_a = tuple(e for w, e in sites_a if (w in cone) != inside)
@@ -378,7 +376,7 @@ class WreathWallSpace:
                     in_a = on_side_a and beyond_a == decoration
                     in_b = on_side_b and beyond_b == decoration
                     if in_a != in_b:
-                        walls.append((side, decoration, in_a, in_b))
+                        walls.append((inside, decoration, in_a, in_b))
             return walls
 
         by_cone: dict[frozenset[tuple[int, ...]], list] = {}
@@ -387,8 +385,8 @@ class WreathWallSpace:
             walls = by_cone.get(cone)
             if walls is None:
                 walls = by_cone[cone] = kept(cone)
-            for side, decoration, in_a, in_b in walls:
-                base = TreeHalfSpace(ReducedWord(letters, self.rank), side)
+            for inside, decoration, in_a, in_b in walls:
+                base = TreeHalfSpace(ReducedWord(letters, self.rank), inside)
                 half = WreathHalfSpace(base, LampConfig(decoration, self.lamps, self.rank))
                 if half.contains(a) != in_a or half.contains(b) != in_b:
                     raise RuntimeError(f"oracle membership disagrees with {half}.contains")

@@ -10,7 +10,6 @@ from wreathwalls import (
     LampConfig,
     LampGroup,
     ReducedWord,
-    Side,
     TreeHalfSpace,
     WreathElement,
     WreathWallSpace,
@@ -166,7 +165,7 @@ def random_tree_half_space(rng: random.Random, rank: int, max_len: int) -> TreeH
         deep = random_reduced_word(rng, rank, max_len)
         if not deep.is_identity:
             break
-    return TreeHalfSpace(deep, rng.choice([Side.CONE, Side.COCONE]))
+    return TreeHalfSpace(deep, rng.choice([True, False]))
 
 
 def random_wreath_half_space(

@@ -503,6 +503,44 @@ class TestErrorsAndDeterminism:
         err = assert_refused_within_five_seconds(argv)
         assert "lamp table check of order 300 would enumerate 27000000 elements" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--rank", "\u0661", "--cap", "1_000", "mul", "{}|a", "{}|A"],
+            ["--cap", "1_000", "mul", "{}|a", "{}|A"],
+            ["--tol", "\u0661", "growth", "--radius", "1"],
+            ["--tol", "1_0", "growth", "--radius", "1"],
+            ["--lamp-order", "+3", "mul", "{}|1", "{}|1"],
+            ["--rank", "1", "proper", "--max-wall", "\u0662"],
+            ["--rank", "1", "proper", "--max-wall", "2", "--radius", " 3"],
+            ["--rank", "1", "growth", "--radius", "0_3"],
+        ],
+    )
+    def test_number_flags_take_ascii_digits_only(self, capsys, argv):
+        # int() and float() also read other scripts' digits, "_", "+" and spaces.
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        out, err = capsys.readouterr()
+        assert (info.value.code, out) == (2, "")
+        assert "invalid int value" in err or "invalid float value" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--rank", "x", "mul", "{}|1", "{}|1"], "argument --rank: invalid int value: 'x'"),
+            (["--tol", "x", "mul", "{}|1", "{}|1"], "argument --tol: invalid float value: 'x'"),
+            (["--cap", "-1", "mul", "{}|1", "{}|1"], "cap must be >= 1, got -1"),
+        ],
+    )
+    def test_refused_numbers_keep_their_messages(self, capsys, argv, message):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_bad_lamp_order_exits_two(self, capsys):
         code, _, err = run(capsys, "--lamp-order", "1", "dist", "{}|1", "{}|1")
         assert code == 2

@@ -14,6 +14,7 @@ from wreathwalls.grammar import (
     load_sample_file,
     parse_config,
     parse_element,
+    parse_int,
     parse_lamp_table,
     parse_sample_text,
     parse_word,
@@ -145,11 +146,27 @@ class TestSampleFiles:
             parse_sample_text("{}|1\n{a:9}|1\n", z2(), 2)
         assert "line 2" in str(info.value)
 
+    def test_error_names_its_line_and_position_once(self):
+        with pytest.raises(ParseError) as info:
+            parse_sample_text("{}|1\n{a:9}|b\n", z2(), 2)
+        assert str(info.value) == "line 2: lamp id 9 outside 1..1 at position 3"
+        assert info.value.position == 3
+
     def test_load_sample_file(self, tmp_path):
         path = tmp_path / "sample.txt"
         path.write_text("{}|1\n{1:1}|a\n")
         elements = load_sample_file(path, z2(), 2)
         assert len(elements) == 2
+
+
+class TestParseInt:
+    def test_ascii_decimal_with_optional_minus(self):
+        assert [parse_int(t) for t in ("0", "7", "007", "-1", "-0")] == [0, 7, 7, -1, 0]
+
+    @pytest.mark.parametrize("text", ["", "-", "+1", "1_0", " 1", "1 ", "--1", "1.0", "\u0661"])
+    def test_rejects_what_int_would_also_read(self, text):
+        with pytest.raises(ValueError, match="invalid int value"):
+            parse_int(text)
 
 
 class TestLampTables:
@@ -183,6 +200,16 @@ class TestLampTables:
             parse_lamp_table("order 2\n0 1\n1 0\n".replace("1 0", f"{digit} 0"))
         with pytest.raises(ValueError, match="line 2: table entries must be integers"):
             parse_lamp_table("order 2\n0 \u0661\n1 0\n")
+
+    @pytest.mark.parametrize("field", ["+1", "1_0"])
+    def test_rows_are_ascii_integers(self, field):
+        # int() reads "+1" as 1 and "1_0" as 10.
+        with pytest.raises(ValueError, match="line 2: table entries must be integers"):
+            parse_lamp_table(f"order 2\n0 {field}\n1 0\n")
+
+    def test_negative_row_entry_is_out_of_range(self):
+        with pytest.raises(ValueError, match="table entry -1 outside 0..1"):
+            parse_lamp_table("order 2\n0 -1\n1 0\n")
 
     def test_rejects_non_group_tables(self):
         with pytest.raises(ValueError):

@@ -34,7 +34,6 @@ from wreathwalls import (
     LampConfig,
     LampGroup,
     ReducedWord,
-    Side,
     TreeHalfSpace,
     WreathElement,
     WreathHalfSpace,
@@ -119,8 +118,8 @@ def reference_brute_force(space, a, b, radius, decoration_sweep=False):
     ball = free_ball(space.rank, radius, space.cap)
     found = set()
     for deep in ball[1:]:
-        for side in (Side.CONE, Side.COCONE):
-            base = TreeHalfSpace(deep, side)
+        for inside in (True, False):
+            base = TreeHalfSpace(deep, inside)
             outside = lambda p: not base.contains(p)
             if decoration_sweep:
                 positions = [p for p in ball if outside(p)]

@@ -8,7 +8,6 @@ import pytest
 
 from wreathwalls import (
     ReducedWord,
-    Side,
     TreeHalfSpace,
     free_ball,
     separating_tree_walls,
@@ -24,21 +23,21 @@ def word(text, rank=2):
 
 
 def cone(text, rank=2):
-    return TreeHalfSpace(word(text, rank), Side.CONE)
+    return TreeHalfSpace(word(text, rank), True)
 
 
 def cocone(text, rank=2):
-    return TreeHalfSpace(word(text, rank), Side.COCONE)
+    return TreeHalfSpace(word(text, rank), False)
 
 
 def complement(h):
-    return TreeHalfSpace(h.deep, h.side.flipped)
+    return TreeHalfSpace(h.deep, not h.cone)
 
 
 class TestHalfSpaces:
     def test_wall_needs_nonempty_deep_endpoint(self):
         with pytest.raises(ValueError):
-            TreeHalfSpace(ReducedWord.identity(2), Side.CONE)
+            TreeHalfSpace(ReducedWord.identity(2), True)
 
     def test_cone_membership_is_prefix_test(self):
         h = cone("ab")

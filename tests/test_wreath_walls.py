@@ -12,7 +12,6 @@ from wreathwalls import (
     CapExceededError,
     LampConfig,
     LampGroup,
-    Side,
     TreeHalfSpace,
     WreathElement,
     WreathWallSpace,
@@ -31,9 +30,9 @@ def elem(text, lamps=None, rank=2):
     return parse_element(text, lamps if lamps is not None else z2(), rank)
 
 
-def half(side, deep, decoration_pairs, lamps=None, rank=2):
+def half(cone, deep, decoration_pairs, lamps=None, rank=2):
     lamps = lamps if lamps is not None else z2()
-    base = TreeHalfSpace(parse_word(deep, rank), side)
+    base = TreeHalfSpace(parse_word(deep, rank), cone)
     decoration = LampConfig.from_pairs(
         [(parse_word(p, rank), v) for p, v in decoration_pairs], lamps, rank
     )
@@ -42,27 +41,27 @@ def half(side, deep, decoration_pairs, lamps=None, rank=2):
 
 class TestWreathHalfSpace:
     def test_membership_needs_position_inside(self):
-        h = half(Side.CONE, "a", [])
+        h = half(True, "a", [])
         assert h.contains(elem("{}|a"))
         assert h.contains(elem("{}|ab"))
         assert not h.contains(elem("{}|1"))
         assert not h.contains(elem("{}|b"))
 
     def test_membership_needs_exact_outside_lamps(self):
-        h = half(Side.CONE, "a", [("1", 1)])
+        h = half(True, "a", [("1", 1)])
         assert h.contains(elem("{1:1}|a"))
         assert h.contains(elem("{1:1,a:1}|a"))
         assert not h.contains(elem("{}|a"))
         assert not h.contains(elem("{1:1,b:1}|a"))
 
     def test_lamps_inside_the_base_are_unconstrained(self):
-        h = half(Side.CONE, "a", [])
+        h = half(True, "a", [])
         assert h.contains(elem("{a:1,ab:1}|a"))
         assert not h.contains(elem("{b:1}|a"))
 
     def test_rejects_decoration_inside_the_base(self):
         with pytest.raises(ValueError):
-            half(Side.CONE, "a", [("ab", 1)])
+            half(True, "a", [("ab", 1)])
 
     def test_no_half_space_is_the_complement_of_another(self):
         # The (base, decoration) pair identifies the wall: over a probe set
@@ -78,8 +77,8 @@ class TestWreathHalfSpace:
         for deep in free_ball(2, 2):
             if deep.is_identity:
                 continue
-            for side in (Side.CONE, Side.COCONE):
-                base = TreeHalfSpace(deep, side)
+            for inside in (True, False):
+                base = TreeHalfSpace(deep, inside)
                 decorations = [LampConfig.empty(lamps, 2)]
                 for p in free_ball(2, 1):
                     if not base.contains(p):
@@ -102,7 +101,7 @@ class TestWreathHalfSpace:
             assert flipped not in patterns.values(), str(candidates[index])
 
     def test_string_form(self):
-        assert str(half(Side.CONE, "a", [("1", 1)])) == "E(CONE(a), {1:1})"
+        assert str(half(True, "a", [("1", 1)])) == "E(CONE(a), {1:1})"
 
 
 class TestDirectedSeparation:
@@ -290,27 +289,27 @@ class TestWallDistance:
 class TestTranslation:
     def test_pure_position_shift(self):
         sp = space()
-        h = half(Side.CONE, "b", [])
+        h = half(True, "b", [])
         moved = sp.translate(elem("{}|a"), h)
-        assert moved == half(Side.CONE, "ab", [])
+        assert moved == half(True, "ab", [])
 
     def test_shift_across_the_wall(self):
         sp = space()
-        h = half(Side.CONE, "a", [])
+        h = half(True, "a", [])
         moved = sp.translate(elem("{}|A"), h)
-        assert moved == half(Side.COCONE, "A", [])
+        assert moved == half(False, "A", [])
 
     def test_lamps_of_the_mover_decorate_the_outside(self):
         sp = space()
-        h = half(Side.CONE, "b", [])
+        h = half(True, "b", [])
         moved = sp.translate(elem("{1:1}|a"), h)
-        assert moved == half(Side.CONE, "ab", [("1", 1)])
+        assert moved == half(True, "ab", [("1", 1)])
 
     def test_mover_lamps_inside_the_image_are_dropped(self):
         sp = space()
-        h = half(Side.CONE, "b", [])
+        h = half(True, "b", [])
         moved = sp.translate(elem("{ab:1}|a"), h)
-        assert moved == half(Side.CONE, "ab", [])
+        assert moved == half(True, "ab", [])
 
     def test_action_composes_with_lamp_order(self):
         # Left factor first in the decoration product; exercised with a
