@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .groups import CapExceededError, WreathElement, predicted_ball_size
+from .groups import WreathElement, predicted_ball_size, within_cap
 from .wreath_walls import WreathHalfSpace, WreathWallSpace, spanned_edge_series
 
 if TYPE_CHECKING:
@@ -43,8 +43,7 @@ def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np
     import numpy as np
     validate_sample(elements)
     n = len(elements)
-    if n * n > space.cap:
-        raise CapExceededError(n * n, space.cap, f"distance matrix of {n} elements")
+    within_cap(n * n, space.cap, f"distance matrix of {n} elements")
     matrix = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
@@ -183,14 +182,12 @@ def growth_table(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
     if radius < 0:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if radius // 2 >= space.cap.bit_length() or predicted_ball_size(space.rank, radius) > space.cap:
-        raise CapExceededError(None, space.cap, "growth enumeration")
+        within_cap(None, space.cap, "growth enumeration")
     one = [[1]] + [[0] * (i + 1) for i in range(1, radius + 1)]
     h = space.lamps.order
     spheres = spanned_edge_series(
         space.rank, one, [[1], [h - 1, 0]], [[0], [0, 0], [0, 1, 0]], [[0], [0, 1]]
     )
-    ball = sum(map(sum, spheres))
-    if ball > space.cap:
-        raise CapExceededError(ball, space.cap, "growth enumeration")
+    within_cap(sum(map(sum, spheres)), space.cap, "growth enumeration")
     edges = [[j for j, count in enumerate(sphere) if count] for sphere in spheres]
     return [GrowthRow(r, sum(spheres[r]), 2 * e[0], 2 * e[-1]) for r, e in enumerate(edges)]

@@ -13,7 +13,7 @@ Words are freely reduced on parse, so ``parse_element(str(x)) == x`` and
 A lamp table file starts with a line ``order k`` followed by k lines of k
 space-separated ids, row times column, each an integer by :func:`parse_int`.
 A sample file holds one wreath literal per line; ``#`` starts a comment and
-blank lines are skipped.
+blank lines are skipped. Both file kinds read undecodable bytes as lone surrogates.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .groups import (
     WreathElement,
     check_rank,
     check_table_order,
+    within_cap,
 )
 
 
@@ -107,14 +108,12 @@ def _scan_config(
         if i == value_start:
             found = text[i] if i < len(text) else "end of input"
             raise ParseError(f"expected a lamp id, found {found!r}", i)
-        value = int(text[value_start:i])
-        if value == 0:
+        digits = text[value_start:i].lstrip("0")  # int() converts at most 4,300 digits
+        if not digits:
             raise ParseError("lamp id 0 is the identity and may not appear", value_start)
-        if value >= lamps.order:
-            raise ParseError(
-                f"lamp id {value} outside 1..{lamps.order - 1}", value_start
-            )
-        pairs.append((position, value))
+        if len(digits) > len(str(lamps.order)) or int(digits) >= lamps.order:
+            raise ParseError(f"lamp id {digits} outside 1..{lamps.order - 1}", value_start)
+        pairs.append((position, int(digits)))
         if i < len(text) and text[i] == ",":
             i += 1
             continue
@@ -162,7 +161,7 @@ def parse_sample_text(text: str, lamps: LampGroup, rank: int) -> list[WreathElem
 
 
 def load_sample_file(path: str | Path, lamps: LampGroup, rank: int) -> list[WreathElement]:
-    return parse_sample_text(Path(path).read_text(), lamps, rank)
+    return parse_sample_text(Path(path).read_text(errors="surrogateescape"), lamps, rank)
 
 
 # -- lamp table files ---------------------------------------------------------
@@ -185,7 +184,11 @@ def _parse_table_lines(lines: Iterable[str], cap: int) -> LampGroup:
     header = first.split()
     if not first.isascii() or len(header) != 2 or header[0] != "order" or not header[1].isdigit():
         raise ValueError(f"lamp table must start with 'order k', got {first!r}")
-    order = int(header[1])
+    digits = header[1].lstrip("0") or "0"
+    try:
+        order = int(digits)
+    except ValueError:  # more digits than int() converts, so more than any flag's cap
+        within_cap(None, cap, f"lamp table check of order {digits}")
     check_table_order(order, cap)
     rows = list(kept)
     if len(rows) != order:
@@ -193,10 +196,9 @@ def _parse_table_lines(lines: Iterable[str], cap: int) -> LampGroup:
     table = []
     for lineno, line in enumerate(rows, start=2):
         try:
-            row = [parse_int(field) for field in line.split()]
+            table.append([parse_int(field) for field in line.split()])
         except ValueError:
             raise ValueError(f"line {lineno}: table entries must be integers") from None
-        table.append(row)
     return LampGroup(table)
 
 

@@ -40,6 +40,13 @@ class CapExceededError(ValueError):
         self.cap = cap
 
 
+def within_cap(size: int | None, cap: int, what: str) -> int:
+    """``size`` when it is at most ``cap``, else refuse; None: a lower bound passed the cap."""
+    if size is None or size > cap:
+        raise CapExceededError(size, cap, what)
+    return size
+
+
 def capped_power(base: int, exponent: int, cap: int) -> int | None:
     """``base ** exponent`` (base >= 2), or None when it is too large to show.
 
@@ -52,8 +59,8 @@ def capped_power(base: int, exponent: int, cap: int) -> int | None:
 
 def check_table_order(order: int, cap: int) -> None:
     """Refuse a lamp table whose order**3 associativity checks would exceed ``cap``."""
-    if order >= 2 and order**3 > cap:
-        raise CapExceededError(order**3, cap, f"lamp table check of order {order}")
+    if order >= 2:
+        within_cap(order**3, cap, f"lamp table check of order {order}")
 
 
 def check_rank(rank: int) -> None:
@@ -184,9 +191,7 @@ def capped_ball_size(rank: int, radius: int, cap: int) -> int:
     """
     large = rank > 1 and capped_power(3, radius, cap) is None
     predicted = None if large else predicted_ball_size(rank, radius)
-    if predicted is None or predicted > cap:
-        raise CapExceededError(predicted, cap, f"ball of radius {radius} in F_{rank}")
-    return predicted
+    return within_cap(predicted, cap, f"ball of radius {radius} in F_{rank}")
 
 
 def ball_letters(rank: int, radius: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:

@@ -34,6 +34,7 @@ from .groups import (
     free_ball,
     predicted_ball_size,
     tree_children,
+    within_cap,
 )
 from .walls import (
     TreeHalfSpace,
@@ -346,8 +347,7 @@ class WreathWallSpace:
                 base = TreeHalfSpace(deep, inside)
                 beyond = [p for p in ball if not base.contains(p)]
                 predicted = capped_power(self.lamps.order, len(beyond), self.cap)
-                if predicted is None or predicted > self.cap:
-                    raise CapExceededError(predicted, self.cap, "decoration sweep")
+                within_cap(predicted, self.cap, "decoration sweep")
                 for values in itertools.product(self.lamps.elements(), repeat=len(beyond)):
                     config = LampConfig.from_pairs(zip(beyond, values), self.lamps, self.rank)
                     half = WreathHalfSpace(base, config)
@@ -403,9 +403,7 @@ class WreathWallSpace:
         ball = capped_ball_size(self.rank, radius, self.cap)
         power = capped_power(self.lamps.order, ball, self.cap)
         predicted = None if power is None else power * ball
-        if predicted is None or predicted > self.cap:
-            raise CapExceededError(predicted, self.cap, f"box of radius {radius}")
-        return predicted
+        return within_cap(predicted, self.cap, f"box of radius {radius}")
 
     def enumerate_box(self, radius: int) -> Iterator[WreathElement]:
         """All elements whose position and lamp support lie in the radius ball.
@@ -430,15 +428,12 @@ class WreathWallSpace:
         """
         if max_wall < 0:
             raise ValueError(f"max_wall must be >= 0, got {max_wall}")
-        edges = max_wall // 2
+        edges, what = max_wall // 2, f"sub-level set at wall distance {max_wall}"
         if edges >= self.cap.bit_length():
-            raise CapExceededError(None, self.cap, f"sub-level set at wall distance {max_wall}")
+            within_cap(None, self.cap, what)
         one = [[1]] + [[0] for _ in range(edges)]
         series = spanned_edge_series(self.rank, one, [[self.lamps.order]], [[0], [1]], [[0], [1]])
-        count = sum(row[0] for row in series)
-        if count > self.cap:
-            raise CapExceededError(count, self.cap, f"sub-level set at wall distance {max_wall}")
-        return count
+        return within_cap(sum(row[0] for row in series), self.cap, what)
 
     def _rooted_subtrees(self, max_edges: int) -> Iterator[list[tuple[int, ...]]]:
         """Vertex lists, root first, of each Cayley subtree holding 1 with <= max_edges edges.

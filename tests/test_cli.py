@@ -541,6 +541,97 @@ class TestErrorsAndDeterminism:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["--cap", "7", "mul", "{}|1", "{}|1"],
+                "lamp table check of order 2 would enumerate 8 elements, above the cap of 7",
+            ),
+            (
+                ["--lamp-table", "TABLE", "mul", "{}|1", "{}|1"],
+                "lamp table check of order 300 would enumerate 27000000 elements,"
+                " above the cap of 1000000",
+            ),
+            (
+                ["--cap", "1000", "--lamp-order", "3", "dist", "--oracle", "{}|aaaaaaa", "{}|1"],
+                "ball of radius 8 in F_2 would enumerate 13121 elements, above the cap of 1000",
+            ),
+            (
+                ["growth", "--radius", "39"],
+                "growth enumeration would enumerate more than 1000000 elements,"
+                " above the cap of 1000000",
+            ),
+            (
+                ["growth", "--radius", "40"],
+                "growth enumeration would enumerate more than 1000000 elements,"
+                " above the cap of 1000000",
+            ),
+            (
+                ["--rank", "1", "growth", "--radius", "39"],
+                "growth enumeration would enumerate 2265310252 elements, above the cap of 1000000",
+            ),
+            (
+                ["proper", "--max-wall", "40"],
+                "sub-level set at wall distance 40 would enumerate more than 1000000 elements,"
+                " above the cap of 1000000",
+            ),
+            (
+                ["--rank", "1", "proper", "--max-wall", "39"],
+                "sub-level set at wall distance 39 would enumerate 230162432 elements,"
+                " above the cap of 1000000",
+            ),
+            (
+                ["--cap", "1000", "proper", "--max-wall", "6"],
+                "sub-level set at wall distance 6 would enumerate 2926 elements,"
+                " above the cap of 1000",
+            ),
+            (
+                ["--cap", "8", "cnd", "--sample", "SAMPLE"],
+                "distance matrix of 3 elements would enumerate 9 elements, above the cap of 8",
+            ),
+        ],
+    )
+    def test_every_refusal_names_its_size_and_cap(self, capsys, tmp_path, argv, line):
+        # The exact size where it is cheap, else "more than" the cap from a lower bound.
+        (tmp_path / "order300.txt").write_text("order 300\n")
+        (tmp_path / "sample.txt").write_text("{}|1\n{a:1}|1\n{}|a\n")
+        paths = {"TABLE": str(tmp_path / "order300.txt"), "SAMPLE": str(tmp_path / "sample.txt")}
+        code, out, err = run(capsys, *(paths.get(a, a) for a in argv))
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+
+    def test_undecodable_sample_bytes_name_their_line(self, capsys, tmp_path):
+        # Read as lone surrogates, as lamp tables are: a parse error, not a codec error.
+        sample = tmp_path / "sample.txt"
+        sample.write_bytes(b"{}|1\n\xff\xfe\n")
+        code, out, err = run(capsys, "cnd", "--sample", str(sample))
+        assert (code, out) == (2, "")
+        assert err == "error: line 2: expected '{', found '\\udcff' at position 0\n"
+        sample.write_bytes(b"{}|1\n# \xff only in a comment\n{}|a\n")
+        assert run(capsys, "cnd", "--sample", str(sample))[0] == 0
+
+    def test_overlong_numbers_keep_the_error_rules(self, capsys, tmp_path):
+        # 5,000 digits is past int()'s default string-conversion limit of 4,300.
+        nines = "9" * 5000
+        code, out, err = run(capsys, "mul", f"{{a:{nines}}}|1", "{}|1")
+        assert (code, out, err) == (2, "", f"error: lamp id {nines} outside 1..1 at position 3\n")
+        code, out, err = run(capsys, "mul", f"{{a:{'0' * 5000}}}|1", "{}|1")
+        assert (code, out) == (2, "")
+        assert err == "error: lamp id 0 is the identity and may not appear at position 3\n"
+        sample = tmp_path / "sample.txt"
+        sample.write_text(f"{{}}|1\n{{a:{nines}}}|1\n")
+        code, out, err = run(capsys, "cnd", "--sample", str(sample))
+        assert (code, out) == (2, "")
+        assert err == f"error: line 2: lamp id {nines} outside 1..1 at position 3\n"
+        table = tmp_path / "table.txt"
+        table.write_text(f"order {nines}\n")
+        code, out, err = run(capsys, "--lamp-table", str(table), "mul", "{}|1", "{}|1")
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: lamp table check of order {nines} would enumerate more than 1000000"
+            " elements, above the cap of 1000000\n"
+        )
+
     def test_bad_lamp_order_exits_two(self, capsys):
         code, _, err = run(capsys, "--lamp-order", "1", "dist", "{}|1", "{}|1")
         assert code == 2

@@ -79,6 +79,25 @@ class TestParseConfig:
             parse_config("{a:2}", z2(), 2)
         parse_config("{a:2}", z3(), 2)
 
+    @pytest.mark.parametrize("length", [4300, 5000])
+    def test_long_lamp_ids_are_out_of_range(self, length):
+        # int() converts at most 4,300 digits by default; past that the id is still just large.
+        nines = "9" * length
+        with pytest.raises(ParseError) as info:
+            parse_element(f"{{a:{nines}}}|1", z2(), 2)
+        assert str(info.value) == f"lamp id {nines} outside 1..1 at position 3"
+        with pytest.raises(ParseError) as info:
+            parse_element(f"{{a:{'0' * length}}}|1", z2(), 2)
+        assert str(info.value) == "lamp id 0 is the identity and may not appear at position 3"
+        with pytest.raises(ParseError) as info:
+            parse_sample_text(f"{{}}|1\n{{a:{nines}}}|1\n", z2(), 2)
+        assert str(info.value) == f"line 2: lamp id {nines} outside 1..1 at position 3"
+
+    def test_leading_zeros_are_dropped_from_lamp_ids(self):
+        with pytest.raises(ParseError, match="^lamp id 7 outside 1..2 at position 3$"):
+            parse_element("{a:007}|1", z3(), 2)
+        assert str(parse_element(f"{{a:{'0' * 5000}1}}|1", z2(), 2)) == "{a:1}|1"
+
     def test_rejects_duplicate_positions(self):
         with pytest.raises(ParseError):
             parse_config("{a:1,a:1}", z2(), 2)
@@ -222,6 +241,21 @@ class TestLampTables:
         with pytest.raises(CapExceededError):
             parse_lamp_table(format_lamp_table(s3()), cap=215)
         assert parse_lamp_table(format_lamp_table(s3()), cap=216) == s3()
+
+    @pytest.mark.parametrize("length", [4300, 5000])
+    def test_long_header_is_refused_by_the_cap(self, length):
+        # Past int()'s 4,300-digit limit the order is above any cap a flag can give.
+        nines = "9" * length
+        with pytest.raises(CapExceededError) as info:
+            parse_lamp_table(f"order {nines}\n")
+        assert str(info.value) == (
+            f"lamp table check of order {nines} would enumerate more than 1000000 elements,"
+            " above the cap of 1000000"
+        )
+        assert (info.value.predicted is None) == (length > 4300)
+
+    def test_leading_zeros_are_dropped_from_the_header(self):
+        assert parse_lamp_table(f"order {'0' * 5000}2\n0 1\n1 0\n") == z2()
 
     def test_load_lamp_table(self, tmp_path):
         path = tmp_path / "table.txt"
