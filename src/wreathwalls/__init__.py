@@ -20,7 +20,6 @@ from .embedding import (
 )
 from .grammar import (
     ParseError,
-    format_lamp_table,
     load_lamp_table,
     load_sample_file,
     parse_config,
@@ -67,7 +66,6 @@ __all__ = [
     "WreathWallSpace",
     "cnd_check",
     "distance_matrix",
-    "format_lamp_table",
     "free_ball",
     "free_reduce",
     "growth_table",

@@ -173,8 +173,8 @@ def growth_table(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
 
     Spheres over the standard generators, counted by the
     :func:`~wreathwalls.wreath_walls.spanned_edge_series` truncated at word
-    length ``z`` = radius, with spanned base edges ``e`` inside: row ``r``
-    lists the ``z^r e^j`` coefficients.
+    length ``radius``. Sphere ``r`` holds wall distances from
+    ``2 ceil((r - 1) / 3)`` to ``2 r``, both attained (README, "Growth series").
     Refuses exactly when the ball exceeds the cap: from the bounds
     ``2 ** (radius // 2)`` (lamp patterns along one ray) and the free ball
     (lamp-free elements), else from its size.
@@ -183,11 +183,6 @@ def growth_table(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
         raise ValueError(f"radius must be >= 0, got {radius}")
     if radius // 2 >= space.cap.bit_length() or predicted_ball_size(space.rank, radius) > space.cap:
         within_cap(None, space.cap, "growth enumeration")
-    one = [[1]] + [[0] * (i + 1) for i in range(1, radius + 1)]
-    h = space.lamps.order
-    spheres = spanned_edge_series(
-        space.rank, one, [[1], [h - 1, 0]], [[0], [0, 0], [0, 1, 0]], [[0], [0, 1]]
-    )
-    within_cap(sum(map(sum, spheres)), space.cap, "growth enumeration")
-    edges = [[j for j, count in enumerate(sphere) if count] for sphere in spheres]
-    return [GrowthRow(r, sum(spheres[r]), 2 * e[0], 2 * e[-1]) for r, e in enumerate(edges)]
+    spheres = spanned_edge_series(space.rank, radius, [1, space.lamps.order - 1], [0, 0, 1], [0, 1])
+    within_cap(sum(spheres), space.cap, "growth enumeration")
+    return [GrowthRow(r, size, 2 * ((r + 1) // 3), 2 * r) for r, size in enumerate(spheres)]

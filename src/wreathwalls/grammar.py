@@ -43,9 +43,11 @@ class ParseError(ValueError):
 
 def parse_int(text: str) -> int:
     """An integer of a flag or a lamp table row: ASCII ``-?[0-9]+``, no ``+``, ``_`` or spaces."""
-    if not (text.isascii() and text.removeprefix("-").isdigit()):
+    digits = text.removeprefix("-")
+    if not (text.isascii() and digits.isdigit()):
         raise ValueError(f"invalid int value: {text!r}")
-    return int(text)
+    value = int(digits.lstrip("0") or "0")  # int() converts at most 4,300 digits
+    return value if digits == text else -value
 
 
 def _scan_word(text: str, start: int, rank: int) -> tuple[ReducedWord, int]:
@@ -184,11 +186,10 @@ def _parse_table_lines(lines: Iterable[str], cap: int) -> LampGroup:
     header = first.split()
     if not first.isascii() or len(header) != 2 or header[0] != "order" or not header[1].isdigit():
         raise ValueError(f"lamp table must start with 'order k', got {first!r}")
-    digits = header[1].lstrip("0") or "0"
     try:
-        order = int(digits)
+        order = parse_int(header[1])
     except ValueError:  # more digits than int() converts, so more than any flag's cap
-        within_cap(None, cap, f"lamp table check of order {digits}")
+        within_cap(None, cap, f"lamp table check of order {header[1].lstrip('0')}")
     check_table_order(order, cap)
     rows = list(kept)
     if len(rows) != order:
@@ -207,8 +208,3 @@ def load_lamp_table(path: str | Path, cap: int = DEFAULT_CAP) -> LampGroup:
     with open(path, errors="surrogateescape") as handle:
         return _parse_table_lines(handle, cap)
 
-
-def format_lamp_table(lamps: LampGroup) -> str:
-    lines = [f"order {lamps.order}"]
-    lines.extend(" ".join(str(v) for v in row) for row in lamps.table)
-    return "\n".join(lines) + "\n"

@@ -112,22 +112,16 @@ class SublevelReport:
         return len(self.sublevel)
 
 
-def _series_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    """Product of two series truncated to the shape of ``a`` (see :func:`spanned_edge_series`)."""
-    out = [[0] * len(row) for row in a]
-    for i, row_a in enumerate(a):
-        for k, row_b in enumerate(b[: len(a) - i]):
-            for j, x in enumerate(row_a):
-                for l, y in enumerate(row_b if x else ()):
-                    out[i + k][j + l] += x * y
+def _series_mul(a: list[int], b: list[int]) -> list[int]:
+    """Product of two series truncated to the degree of ``a`` (see :func:`spanned_edge_series`)."""
+    out = [0] * len(a)
+    for i, x in enumerate(a):
+        for k, y in enumerate(b[: len(a) - i] if x else ()):
+            out[i + k] += x * y
     return out
 
 
-def _series_add(a: list[list[int]], b: list[list[int]], sign: int = 1) -> list[list[int]]:
-    return [[x + sign * y for x, y in zip(p, q)] for p, q in zip(a, b)]
-
-
-def _series_power(a: list[list[int]], exponent: int, one: list[list[int]]) -> list[list[int]]:
+def _series_power(a: list[int], exponent: int, one: list[int]) -> list[int]:
     result = one
     for bit in bin(exponent)[2:]:
         result = _series_mul(result, result)
@@ -136,37 +130,33 @@ def _series_power(a: list[list[int]], exponent: int, one: list[list[int]]) -> li
 
 
 def spanned_edge_series(
-    rank: int,
-    one: list[list[int]],
-    vertex: list[list[int]],
-    branch: list[list[int]],
-    step: list[list[int]],
-) -> list[list[int]]:
+    rank: int, degree: int, vertex: list[int], branch: list[int], step: list[int]
+) -> list[int]:
     """Elements of H wr F_rank counted by the edges of the subtree they span.
 
-    A series is a list of rows: row ``i`` lists the coefficients of the
-    ``i``-th power of the truncating variable, each a polynomial in a second
-    variable. ``one`` is the truncated unit and fixes the shape. ``vertex``
-    weighs a vertex's lamp, ``branch`` an edge into a side branch and
-    ``step`` an edge of the path to the position. A nonempty branch below an
-    edge is ``G = branch (V_(2n-1) - 1)``, a vertex with ``k`` branch slots
-    is ``V_k = vertex (1 + G)^k``, and the elements are
+    A series is the list of its integer coefficients, truncated at
+    ``degree``. ``vertex`` weighs a vertex's lamp, ``branch`` an edge into a
+    side branch and ``step`` an edge of the path to the position. A nonempty
+    branch below an edge is ``G = branch (V_(2n-1) - 1)``, a vertex with
+    ``k`` branch slots is ``V_k = vertex (1 + G)^k``, and the elements are
     ``V_2n + sum_(m>=1) 2n (2n-1)^(m-1) step^m V_(2n-1)^2 V_(2n-2)^(m-1)``
-    (README, "Growth series"). With word length ``z`` truncating and edges
-    ``e`` inside, the weights are ``1 + (h-1) z``, ``z^2 e`` and ``z e``;
-    with edges alone, ``h``, ``e`` and ``e``.
+    (README, "Growth series"). Counted by word length ``z`` the weights are
+    ``1 + (h-1) z``, ``z^2`` and ``z``; by spanned edges ``e``, ``h``, ``e``
+    and ``e``.
     """
+    one = [1] + [0] * degree
     vertex = _series_mul(one, vertex)
     slot = one  # 1 + G
-    for _ in range((len(one) - 1) // (len(branch) - 1) + 1):  # each pass fixes more of G
+    for _ in range(degree // (len(branch) - 1) + 1):  # each pass fixes more of G
         inner = _series_mul(vertex, _series_power(slot, 2 * rank - 2, one))  # V_(2n-2)
         end = _series_mul(inner, slot)  # V_(2n-1)
-        slot = _series_add(one, _series_mul(_series_add(end, one, -1), branch))
+        branches = _series_mul([end[0] - 1, *end[1:]], branch)  # G
+        slot = [branches[0] + 1, *branches[1:]]
     total = _series_mul(end, slot)  # V_2n
-    path = _series_mul(_series_mul(_series_mul(end, end), step), [[2 * rank]])  # the m = 1 term
-    for _ in range(len(one) - 1):
-        total = _series_add(total, path)
-        path = _series_mul(_series_mul(_series_mul(path, inner), step), [[2 * rank - 1]])
+    path = _series_mul(_series_mul(_series_mul(end, end), step), [2 * rank])  # the m = 1 term
+    for _ in range(degree):
+        total = [x + y for x, y in zip(total, path)]
+        path = _series_mul(_series_mul(_series_mul(path, inner), step), [2 * rank - 1])
     return total
 
 
@@ -421,8 +411,8 @@ class WreathWallSpace:
     def sublevel_size(self, max_wall: int) -> int:
         """Exact number of elements at wall distance <= max_wall from the identity.
 
-        The spanned-edge series (:func:`spanned_edge_series`) with the word
-        length dropped, summed up to ``max_wall // 2`` edges. Refuses above
+        The spanned-edge series (:func:`spanned_edge_series`) counted by
+        edges alone, summed up to ``max_wall // 2`` edges. Refuses above
         the cap, at once from the lower bound ``2 ** (max_wall // 2)``
         (lamp patterns along one ray), else from the exact count.
         """
@@ -431,9 +421,8 @@ class WreathWallSpace:
         edges, what = max_wall // 2, f"sub-level set at wall distance {max_wall}"
         if edges >= self.cap.bit_length():
             within_cap(None, self.cap, what)
-        one = [[1]] + [[0] for _ in range(edges)]
-        series = spanned_edge_series(self.rank, one, [[self.lamps.order]], [[0], [1]], [[0], [1]])
-        return within_cap(sum(row[0] for row in series), self.cap, what)
+        series = spanned_edge_series(self.rank, edges, [self.lamps.order], [0, 1], [0, 1])
+        return within_cap(sum(series), self.cap, what)
 
     def _rooted_subtrees(self, max_edges: int) -> Iterator[list[tuple[int, ...]]]:
         """Vertex lists, root first, of each Cayley subtree holding 1 with <= max_edges edges.

@@ -101,6 +101,84 @@ def bfs_growth_rows(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
     return rows
 
 
+def _series_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    """Product of two series truncated to the shape of ``a`` (see :func:`spanned_edge_series`)."""
+    out = [[0] * len(row) for row in a]
+    for i, row_a in enumerate(a):
+        for k, row_b in enumerate(b[: len(a) - i]):
+            for j, x in enumerate(row_a):
+                for l, y in enumerate(row_b if x else ()):
+                    out[i + k][j + l] += x * y
+    return out
+
+
+def _series_add(a: list[list[int]], b: list[list[int]], sign: int = 1) -> list[list[int]]:
+    return [[x + sign * y for x, y in zip(p, q)] for p, q in zip(a, b)]
+
+
+def _series_power(a: list[list[int]], exponent: int, one: list[list[int]]) -> list[list[int]]:
+    result = one
+    for bit in bin(exponent)[2:]:
+        result = _series_mul(result, result)
+        result = _series_mul(result, a) if bit == "1" else result
+    return result
+
+
+def spanned_edge_series(
+    rank: int,
+    one: list[list[int]],
+    vertex: list[list[int]],
+    branch: list[list[int]],
+    step: list[list[int]],
+) -> list[list[int]]:
+    """Elements of H wr F_rank counted by the edges of the subtree they span.
+
+    A series is a list of rows: row ``i`` lists the coefficients of the
+    ``i``-th power of the truncating variable, each a polynomial in a second
+    variable. ``one`` is the truncated unit and fixes the shape. ``vertex``
+    weighs a vertex's lamp, ``branch`` an edge into a side branch and
+    ``step`` an edge of the path to the position. A nonempty branch below an
+    edge is ``G = branch (V_(2n-1) - 1)``, a vertex with ``k`` branch slots
+    is ``V_k = vertex (1 + G)^k``, and the elements are
+    ``V_2n + sum_(m>=1) 2n (2n-1)^(m-1) step^m V_(2n-1)^2 V_(2n-2)^(m-1)``
+    (README, "Growth series"). With word length ``z`` truncating and edges
+    ``e`` inside, the weights are ``1 + (h-1) z``, ``z^2 e`` and ``z e``;
+    with edges alone, ``h``, ``e`` and ``e``.
+    """
+    vertex = _series_mul(one, vertex)
+    slot = one  # 1 + G
+    for _ in range((len(one) - 1) // (len(branch) - 1) + 1):  # each pass fixes more of G
+        inner = _series_mul(vertex, _series_power(slot, 2 * rank - 2, one))  # V_(2n-2)
+        end = _series_mul(inner, slot)  # V_(2n-1)
+        slot = _series_add(one, _series_mul(_series_add(end, one, -1), branch))
+    total = _series_mul(end, slot)  # V_2n
+    path = _series_mul(_series_mul(_series_mul(end, end), step), [[2 * rank]])  # the m = 1 term
+    for _ in range(len(one) - 1):
+        total = _series_add(total, path)
+        path = _series_mul(_series_mul(_series_mul(path, inner), step), [[2 * rank - 1]])
+    return total
+
+
+def bivariate_spheres(space: WreathWallSpace, radius: int) -> list[list[int]]:
+    """Row ``r`` lists the ``z^r e^j`` coefficients: elements of word length r spanning j edges."""
+    one = [[1]] + [[0] * (i + 1) for i in range(1, radius + 1)]
+    h = space.lamps.order
+    return spanned_edge_series(
+        space.rank, one, [[1], [h - 1, 0]], [[0], [0, 0], [0, 1, 0]], [[0], [0, 1]]
+    )
+
+
+def bivariate_growth_rows(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
+    """The growth table read off the two-variable series: an oracle for ``growth_table``.
+
+    ``min_wall`` and ``max_wall`` are twice the lowest and highest nonzero
+    ``e``-degree of each row, and ``sphere_size`` is the row sum.
+    """
+    spheres = bivariate_spheres(space, radius)
+    edges = [[j for j, count in enumerate(sphere) if count] for sphere in spheres]
+    return [GrowthRow(r, sum(spheres[r]), 2 * e[0], 2 * e[-1]) for r, e in enumerate(edges)]
+
+
 def compose_permutations(p, q):
     """Function composition p after q on tuples encoding permutations."""
     return tuple(p[q[k]] for k in range(len(p)))
@@ -123,6 +201,13 @@ def z2() -> LampGroup:
 
 def z3() -> LampGroup:
     return LampGroup.cyclic(3)
+
+
+def format_lamp_table(lamps: LampGroup) -> str:
+    """The lamp table file of ``lamps``, as ``grammar.parse_lamp_table`` reads it."""
+    lines = [f"order {lamps.order}"]
+    lines.extend(" ".join(str(v) for v in row) for row in lamps.table)
+    return "\n".join(lines) + "\n"
 
 
 # -- random value generators --------------------------------------------------

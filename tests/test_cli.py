@@ -13,9 +13,8 @@ import pytest
 
 from wreathwalls.cli import main
 from wreathwalls.embedding import CndReport
-from wreathwalls.grammar import format_lamp_table
 
-from support import s3
+from support import format_lamp_table, s3
 
 
 def run(capsys, *argv):
@@ -489,6 +488,18 @@ class TestErrorsAndDeterminism:
         # 10**20 exponent); the refusal must come from a cheap bound.
         assert_refused_within_five_seconds(argv)
 
+    def test_growth_at_a_large_cap_is_refused_quickly(self):
+        # Below the cap's 133 bits the 2 ** (radius // 2) bound settles nothing: the exact
+        # ball of the one-variable series refuses.
+        err = assert_refused_within_five_seconds(
+            ["--cap", "1" + "0" * 40, "--rank", "1", "growth", "--radius", "260"]
+        )
+        assert err == (
+            "error: growth enumeration would enumerate"
+            " 34854375040834133346137606028402393372119509011181721770 elements,"
+            f" above the cap of 1{'0' * 40}\n"
+        )
+
     def test_large_lamp_order_is_refused_quickly(self):
         # Building and verifying this table would take 4,000,000 entries and
         # 8 * 10**9 associativity checks.
@@ -631,6 +642,24 @@ class TestErrorsAndDeterminism:
             f"error: lamp table check of order {nines} would enumerate more than 1000000"
             " elements, above the cap of 1000000\n"
         )
+
+    def test_leading_zeros_past_the_digit_limit_are_dropped(self, capsys, tmp_path):
+        # 5,000 digits with one significant: read as 2 and 1, as a plain Z/2 would be.
+        argv = ["mul", "{a:1}|b", "{B:1}|ab"]
+        expected = run(capsys, "--lamp-order", "2", *argv)
+        assert expected == (0, "{1:1,a:1}|bab\n", "")
+        assert run(capsys, "--lamp-order", "0" * 4999 + "2", *argv) == expected
+        table = tmp_path / "table.txt"
+        table.write_text(f"order 2\n0 {'0' * 4999}1\n1 0\n")
+        assert run(capsys, "--lamp-table", str(table), *argv) == expected
+        # More than 4,300 significant digits are still refused by int()'s limit.
+        table.write_text(f"order 2\n0 {'9' * 5000}\n1 0\n")
+        code, out, err = run(capsys, "--lamp-table", str(table), *argv)
+        assert (code, out, err) == (2, "", "error: line 2: table entries must be integers\n")
+        with pytest.raises(SystemExit) as info:
+            main(["--lamp-order", "9" * 5000, *argv])
+        assert info.value.code == 2
+        assert "argument --lamp-order: invalid int value" in capsys.readouterr().err
 
     def test_bad_lamp_order_exits_two(self, capsys):
         code, _, err = run(capsys, "--lamp-order", "1", "dist", "{}|1", "{}|1")

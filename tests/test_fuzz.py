@@ -24,9 +24,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wreathwalls.cli import main
-from wreathwalls.grammar import format_lamp_table
 
-from support import s3
+from support import format_lamp_table, s3
 
 EXTREMES = [-(10**30), -(2**63), -1, 0, 2**63, 10**20, 10**100]
 INTS = st.one_of(st.integers(0, 4), st.integers(-3, 12), st.sampled_from(EXTREMES)).map(str)

@@ -9,7 +9,6 @@ import pytest
 from wreathwalls import CapExceededError, LampGroup
 from wreathwalls.grammar import (
     ParseError,
-    format_lamp_table,
     load_lamp_table,
     load_sample_file,
     parse_config,
@@ -20,7 +19,7 @@ from wreathwalls.grammar import (
     parse_word,
 )
 
-from support import random_element, s3, z2, z3
+from support import format_lamp_table, random_element, s3, z2, z3
 
 
 class TestParseWord:
@@ -180,7 +179,8 @@ class TestSampleFiles:
 
 class TestParseInt:
     def test_ascii_decimal_with_optional_minus(self):
-        assert [parse_int(t) for t in ("0", "7", "007", "-1", "-0")] == [0, 7, 7, -1, 0]
+        texts = ("0", "7", "007", "-1", "-0", "-007", "0" * 5000 + "7", "-" + "0" * 5000)
+        assert [parse_int(t) for t in texts] == [0, 7, 7, -1, 0, -7, 7, 0]
 
     @pytest.mark.parametrize("text", ["", "-", "+1", "1_0", " 1", "1 ", "--1", "1.0", "\u0661"])
     def test_rejects_what_int_would_also_read(self, text):

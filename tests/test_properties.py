@@ -39,7 +39,6 @@ from wreathwalls import (
     WreathHalfSpace,
     WreathWallSpace,
     distance_matrix,
-    format_lamp_table,
     free_ball,
     hamming_distances,
     parse_config,
@@ -51,7 +50,7 @@ from wreathwalls import (
     wall_coordinates,
 )
 
-from support import bfs_spheres, s3, z2, z3
+from support import bfs_spheres, format_lamp_table, s3, z2, z3
 
 LAMPS = [z2(), z3(), s3()]
 

@@ -19,7 +19,7 @@ from wreathwalls import (
 from wreathwalls.grammar import parse_element, parse_word
 from wreathwalls.wreath_walls import WreathHalfSpace
 
-from support import random_element, random_wreath_half_space, s3, z2, z3
+from support import bivariate_spheres, random_element, random_wreath_half_space, s3, z2, z3
 
 
 def space(lamps=None, rank=2):
@@ -423,6 +423,16 @@ class TestProperness:
         sp = WreathWallSpace(z2(), 2)
         sizes = [sp.sublevel_size(n) for n in range(10)]
         assert sizes == [2, 2, 26, 26, 278, 278, 2926, 2926, 30864, 30864]
+
+    @pytest.mark.parametrize("rank", [1, 2, 3])
+    def test_sublevel_size_equals_the_bivariate_series(self, rank):
+        # An element spanning E edges has word length at most 3E + 1 (README, "Growth
+        # series"), so the two-variable spheres to radius 46 hold every one with E <= 15.
+        sp = WreathWallSpace(z3(), rank, cap=10**40)
+        spheres = bivariate_spheres(sp, 46)
+        by_edges = [sum(sphere[e] for sphere in spheres if e < len(sphere)) for e in range(16)]
+        for max_wall in range(31):
+            assert sp.sublevel_size(max_wall) == sum(by_edges[: max_wall // 2 + 1])
 
     def test_sublevel_size_refuses_above_cap(self):
         with pytest.raises(CapExceededError, match="enumerate 26 elements") as info:
