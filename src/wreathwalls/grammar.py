@@ -13,11 +13,13 @@ Words are freely reduced on parse, so ``parse_element(str(x)) == x`` and
 A lamp table file starts with a line ``order k`` followed by k lines of k
 space-separated ids, row times column, each an integer by :func:`parse_int`.
 A sample file holds one wreath literal per line; ``#`` starts a comment and
-blank lines are skipped. Both file kinds read undecodable bytes as lone surrogates.
+blank lines are skipped. Both file kinds read undecodable bytes as lone surrogates,
+and their lines end only where a text file's do: at LF, CR LF or CR.
 """
 
 from __future__ import annotations
 
+import io
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -151,7 +153,7 @@ def parse_element(text: str, lamps: LampGroup, rank: int) -> WreathElement:
 def parse_sample_text(text: str, lamps: LampGroup, rank: int) -> list[WreathElement]:
     """One element literal per line; '#' comments and blank lines ignored."""
     elements = []
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    for lineno, raw_line in enumerate(io.StringIO(text, newline=None), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
@@ -175,7 +177,7 @@ def parse_lamp_table(text: str, cap: int = DEFAULT_CAP) -> LampGroup:
     Refuses from the header, before reading the rows, when the table's
     ``k**3`` associativity checks would exceed ``cap``.
     """
-    return _parse_table_lines(text.splitlines(), cap)
+    return _parse_table_lines(io.StringIO(text, newline=None), cap)
 
 
 def _parse_table_lines(lines: Iterable[str], cap: int) -> LampGroup:

@@ -112,21 +112,9 @@ class SublevelReport:
         return len(self.sublevel)
 
 
-def _series_mul(a: list[int], b: list[int]) -> list[int]:
-    """Product of two series truncated to the degree of ``a`` (see :func:`spanned_edge_series`)."""
-    out = [0] * len(a)
-    for i, x in enumerate(a):
-        for k, y in enumerate(b[: len(a) - i] if x else ()):
-            out[i + k] += x * y
-    return out
-
-
-def _series_power(a: list[int], exponent: int, one: list[int]) -> list[int]:
-    result = one
-    for bit in bin(exponent)[2:]:
-        result = _series_mul(result, result)
-        result = _series_mul(result, a) if bit == "1" else result
-    return result
+def _coefficient(a: list[int], b: list[int], m: int) -> int:
+    """Coefficient ``m`` of the product of two series (see :func:`spanned_edge_series`)."""
+    return sum(a[j] * b[m - j] for j in range(m + 1))
 
 
 def spanned_edge_series(
@@ -139,25 +127,28 @@ def spanned_edge_series(
     side branch and ``step`` an edge of the path to the position. A nonempty
     branch below an edge is ``G = branch (V_(2n-1) - 1)``, a vertex with
     ``k`` branch slots is ``V_k = vertex (1 + G)^k``, and the elements are
-    ``V_2n + sum_(m>=1) 2n (2n-1)^(m-1) step^m V_(2n-1)^2 V_(2n-2)^(m-1)``
+    ``V_2n + W`` with ``W = 2n step V_(2n-1)^2 / (1 - (2n-1) step V_(2n-2))``
     (README, "Growth series"). Counted by word length ``z`` the weights are
     ``1 + (h-1) z``, ``z^2`` and ``z``; by spanned edges ``e``, ``h``, ``e``
-    and ``e``.
+    and ``e``. ``branch`` and ``step`` have no constant term, so coefficient
+    ``m`` of ``G`` and ``W`` needs the others only below ``m``: one pass
+    fills every series, with ``(1 + G)^(2n-2)`` from J. C. P. Miller's
+    recurrence (Knuth, TAOCP vol. 2, 4.7), whose division is exact.
     """
-    one = [1] + [0] * degree
-    vertex = _series_mul(one, vertex)
-    slot = one  # 1 + G
-    for _ in range(degree // (len(branch) - 1) + 1):  # each pass fixes more of G
-        inner = _series_mul(vertex, _series_power(slot, 2 * rank - 2, one))  # V_(2n-2)
-        end = _series_mul(inner, slot)  # V_(2n-1)
-        branches = _series_mul([end[0] - 1, *end[1:]], branch)  # G
-        slot = [branches[0] + 1, *branches[1:]]
-    total = _series_mul(end, slot)  # V_2n
-    path = _series_mul(_series_mul(_series_mul(end, end), step), [2 * rank])  # the m = 1 term
-    for _ in range(degree):
-        total = [x + y for x, y in zip(total, path)]
-        path = _series_mul(_series_mul(_series_mul(path, inner), step), [2 * rank - 1])
-    return total
+    q, size = 2 * rank - 1, degree + 1
+    vertex, branch, step = ((s + [0] * size)[:size] for s in (vertex, branch, step))
+    # 1 + G, (1 + G)^(q-1), V_(2n-2), V_(2n-1), W and W / step (the paths after their first edge)
+    slot, power, inner, end, paths, rest = ([0] * size for _ in range(6))
+    slot[0] = power[0] = 1
+    for m in range(size):
+        if m:
+            slot[m] = _coefficient(branch, end, m) - branch[m]
+            power[m] = sum((q * j - m) * slot[j] * power[m - j] for j in range(1, m + 1)) // m
+        inner[m] = _coefficient(vertex, power, m)
+        end[m] = _coefficient(slot, inner, m)
+        paths[m] = _coefficient(step, rest, m)
+        rest[m] = 2 * rank * _coefficient(end, end, m) + q * _coefficient(inner, paths, m)
+    return [_coefficient(end, slot, m) + paths[m] for m in range(size)]
 
 
 class WreathWallSpace:

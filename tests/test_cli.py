@@ -491,14 +491,33 @@ class TestErrorsAndDeterminism:
     def test_growth_at_a_large_cap_is_refused_quickly(self):
         # Below the cap's 133 bits the 2 ** (radius // 2) bound settles nothing: the exact
         # ball of the one-variable series refuses.
+        cap = "1" + "0" * 40
         err = assert_refused_within_five_seconds(
-            ["--cap", "1" + "0" * 40, "--rank", "1", "growth", "--radius", "260"]
+            ["--cap", cap, "--rank", "1", "growth", "--radius", "260"]
         )
         assert err == (
             "error: growth enumeration would enumerate"
             " 34854375040834133346137606028402393372119509011181721770 elements,"
-            f" above the cap of 1{'0' * 40}\n"
+            f" above the cap of {cap}\n"
         )
+        # The same for the sub-level sets: the edge series to degree 130 refuses.
+        sizes = {
+            "2": "115033156880803884011343733360296048976294037390015312464615660083190748"
+            "21393494085157759158618410647616209445859076520768358916707844096",
+            "26": "204406780788492838562476413418215352234644219669676360134306326566144400"
+            "726667893205926165009554016527433285369678830681485879063710742107248141"
+            "910915633995964618608128361298402895817441031954701124585907253052431372"
+            "778048908066638030735513580059703390735517960351655635609810182123337633"
+            "0131800391441776",
+        }
+        for rank, size in sizes.items():
+            err = assert_refused_within_five_seconds(
+                ["--cap", cap, "--rank", rank, "proper", "--max-wall", "260"]
+            )
+            assert err == (
+                f"error: sub-level set at wall distance 260 would enumerate {size} elements,"
+                f" above the cap of {cap}\n"
+            )
 
     def test_large_lamp_order_is_refused_quickly(self):
         # Building and verifying this table would take 4,000,000 entries and

@@ -21,6 +21,9 @@ from wreathwalls.grammar import (
 
 from support import format_lamp_table, random_element, s3, z2, z3
 
+# Characters at which str.splitlines() breaks but a text file does not.
+NOT_LINE_BREAKS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
 
 class TestParseWord:
     def test_identity(self):
@@ -170,6 +173,13 @@ class TestSampleFiles:
         assert str(info.value) == "line 2: lamp id 9 outside 1..1 at position 3"
         assert info.value.position == 3
 
+    @pytest.mark.parametrize("mark", NOT_LINE_BREAKS)
+    def test_lines_end_only_at_text_line_breaks(self, mark):
+        text = f"{{}}|1 # page{mark}break\r{{}}|a\r\n{{}}|b\n"
+        assert [str(e) for e in parse_sample_text(text, z2(), 2)] == ["{}|1", "{}|a", "{}|b"]
+        with pytest.raises(ParseError, match="^line 1: unexpected trailing"):
+            parse_sample_text(f"{{}}|1{mark}{{}}|a\n", z2(), 2)
+
     def test_load_sample_file(self, tmp_path):
         path = tmp_path / "sample.txt"
         path.write_text("{}|1\n{1:1}|a\n")
@@ -276,6 +286,18 @@ class TestLampTables:
             load_lamp_table(path)
         path.write_bytes(b"\n\norder 2\r\n0 1\r\n1 0\r\n")
         assert load_lamp_table(path) == LampGroup.cyclic(2)
+
+    @pytest.mark.parametrize("mark", NOT_LINE_BREAKS)
+    def test_rows_end_only_at_text_line_breaks(self, mark):
+        assert parse_lamp_table(f"order 2\r0{mark}1\r\n1 0\n") == z2()
+        with pytest.raises(ValueError, match="expected 2 table rows, got 1"):
+            parse_lamp_table(f"order 2\n0 1{mark}1 0\n")
+
+    @pytest.mark.parametrize("mark", [m for m in NOT_LINE_BREAKS if m.isascii()])
+    def test_parse_and_load_split_rows_alike(self, tmp_path, mark):
+        path = tmp_path / "table.txt"
+        path.write_bytes(f"order 2\n0{mark}1\n1 0\n".encode())
+        assert parse_lamp_table(path.read_text()) == load_lamp_table(path) == z2()
 
     def test_format_is_loadable_text(self):
         text = format_lamp_table(z3())

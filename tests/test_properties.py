@@ -13,7 +13,8 @@ brute-force search itself must equal a plain reference sweep, the wall
 distance must be left-invariant, and the left action on half-spaces must be
 equivariant. On breadth-first word-metric
 spheres, word length must be ``d(1, x) - |pos| + |supp|``: the premise of the
-growth series. The walls and ``translate`` must give an isometric action with
+growth series. The one-pass spanned-edge series must equal the two-variable
+fixed-point solver of the tests fed one-element rows. The walls and ``translate`` must give an isometric action with
 cocycle ``b(g) = χ{E ∋ g} − χ{E ∋ 1}`` over positive halves E (Cherix–Martin–Valette
 2004), whose norms are the wall distance. Formatting and parsing words,
 configurations, elements, sample text and lamp tables must round-trip.
@@ -50,7 +51,10 @@ from wreathwalls import (
     wall_coordinates,
 )
 
+from wreathwalls.wreath_walls import spanned_edge_series
+
 from support import bfs_spheres, format_lamp_table, s3, z2, z3
+from support import spanned_edge_series as two_variable_series
 
 LAMPS = [z2(), z3(), s3()]
 
@@ -236,6 +240,19 @@ def test_word_length_is_wall_distance_minus_position_plus_support(lamp_index, ra
     identity = space.identity()
     for x in spheres[radius]:
         assert radius == space.wall_distance(identity, x) - len(x.position) + len(x.lamps.support)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([1, 2, 3, 26]), st.sampled_from([2, 3, 6]), st.integers(0, 30), st.booleans())
+def test_spanned_edge_series_equals_the_two_variable_series(rank, order, degree, by_length):
+    # Word length (the growth spheres) or spanned edges alone (the sub-level sets).
+    if by_length:
+        weights = ([[1], [order - 1]], [[0], [0], [1]], [[0], [1]])
+    else:
+        weights = ([[order]], [[0], [1]], [[0], [1]])
+    rows = two_variable_series(rank, [[1]] + [[0]] * degree, *weights)
+    flat = ([row[0] for row in series] for series in weights)
+    assert spanned_edge_series(rank, degree, *flat) == [row[0] for row in rows]
 
 
 def cocycle(space: WreathWallSpace, g: WreathElement) -> Counter:
