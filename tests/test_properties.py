@@ -14,7 +14,8 @@ distance must be left-invariant, and the left action on half-spaces must be
 equivariant. On breadth-first word-metric
 spheres, word length must be ``d(1, x) - |pos| + |supp|``: the premise of the
 growth series. The one-pass spanned-edge series must equal the two-variable
-fixed-point solver of the tests fed one-element rows. The walls and ``translate`` must give an isometric action with
+fixed-point solver of ``support`` fed one-element rows. The walls and
+``translate`` must give an isometric action with
 cocycle ``b(g) = χ{E ∋ g} − χ{E ∋ 1}`` over positive halves E (Cherix–Martin–Valette
 2004), whose norms are the wall distance. Formatting and parsing words,
 configurations, elements, sample text and lamp tables must round-trip.
@@ -50,7 +51,6 @@ from wreathwalls import (
     separating_tree_walls,
     wall_coordinates,
 )
-
 from wreathwalls.wreath_walls import spanned_edge_series
 
 from support import bfs_spheres, format_lamp_table, s3, z2, z3
