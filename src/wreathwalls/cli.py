@@ -24,6 +24,7 @@ from pathlib import Path
 from .embedding import (
     check_tolerance,
     cnd_check,
+    coordinates_csv,
     distance_matrix,
     growth_table,
     hamming_distances,
@@ -255,8 +256,8 @@ def _cmd_embed(space: WreathWallSpace, args: argparse.Namespace) -> Result:
     out.mkdir(parents=True, exist_ok=True)
     _write_lines(out / "elements.txt", elements)
     _write_lines(out / "walls.txt", walls)
-    for name, array in (("distances.csv", matrix), ("coordinates.csv", coordinates)):
-        _write_lines(out / name, (",".join(map(str, row.tolist())) for row in array))
+    _write_lines(out / "distances.csv", (",".join(map(str, row.tolist())) for row in matrix))
+    (out / "coordinates.csv").write_bytes(coordinates_csv(coordinates))
     isometry_ok = bool((hamming_distances(coordinates) == matrix).all())
     payload = {
         "dimension": len(elements),

@@ -38,23 +38,55 @@ def validate_sample(elements: list[WreathElement]) -> None:
 def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np.ndarray:
     """Matrix of pairwise wall distances; symmetric with zero diagonal.
 
+    Summed over tree nodes, not over pairs. For two elements let ``S`` be
+    their positions and the sites where their lamps differ; half their wall
+    distance is the edge count of the subtree ``S`` spans, ``|nonempty
+    prefixes of S| - |longest common prefix of S|``. A node ``u`` is
+    *occupied* by an element with its position or a lamp in the cone of ``u``;
+    an element occupying ``r`` nodes is keyed at each by ``u`` and by its
+    side of ``u`` with its lamps on the other side. Then half the distance is
+    ``r_a + r_b`` less one for each node both occupy and one for each such
+    key they share. :meth:`~WreathWallSpace.wall_distance` is the pairwise
+    oracle of this sum in the tests.
+
     Refuses above the space's cap on the n * n entries, before allocating.
     """
     import numpy as np
     validate_sample(elements)
+    space.check_elements(*elements)
     n = len(elements)
     within_cap(n * n, space.cap, f"distance matrix of {n} elements")
-    matrix = np.zeros((n, n), dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i, j] = matrix[j, i] = space.wall_distance(elements[i], elements[j])
+    occupied = np.zeros(n, dtype=np.int64)
+    groups: dict[tuple, list[int]] = {}
+    for i, x in enumerate(elements):
+        position = x.position.letters
+        sites = [(p.letters, v) for p, v in x.lamps.entries]
+        nodes = {w[:k] for w in (position, *(w for w, _ in sites)) for k in range(1, len(w) + 1)}
+        occupied[i] = len(nodes)
+        for u in nodes:
+            depth = len(u)
+            inside = position[:depth] == u
+            other_side = tuple([site for site in sites if (site[0][:depth] == u) != inside])
+            groups.setdefault(u, []).append(i)
+            groups.setdefault((u, inside, other_side), []).append(i)
+    shared = np.zeros((n, n), dtype=np.int64)
+    for rows in groups.values():
+        if len(rows) > 1:
+            shared[np.ix_(rows, rows)] += 1
+    matrix = 2 * (occupied[:, None] + occupied[None, :] - shared)
+    np.fill_diagonal(matrix, 0)
     validate_distance_matrix(matrix)
     return matrix
 
 
 def validate_distance_matrix(matrix: np.ndarray) -> None:
     """Check square shape, finite entries, symmetry, zero diagonal, nonnegativity and the
-    triangle inequality."""
+    triangle inequality.
+
+    The triangle check is exact and visits every triple. An integer matrix
+    runs it in the narrowest of int16 and int32 that holds twice its largest
+    entry, the largest sum it forms; otherwise in its own dtype.
+    """
     import numpy as np
     matrix = np.asarray(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -67,6 +99,10 @@ def validate_distance_matrix(matrix: np.ndarray) -> None:
         raise ValueError("distance matrix has nonzero diagonal entries")
     if np.any(matrix < 0):
         raise ValueError("distance matrix has negative entries")
+    if np.issubdtype(matrix.dtype, np.integer):
+        largest = 2 * int(matrix.max(initial=0))
+        narrow = next((t for t in (np.int16, np.int32) if largest <= np.iinfo(t).max), None)
+        matrix = matrix if narrow is None else matrix.astype(narrow)
     for k in range(matrix.shape[0]):
         if np.any(matrix > matrix[:, k : k + 1] + matrix[k : k + 1, :]):
             raise ValueError(f"triangle inequality fails through index {k}")
@@ -90,6 +126,21 @@ def wall_coordinates(
     for k, (_, rows) in enumerate(walls):
         matrix[rows, k] = 1
     return [wall for wall, _ in walls], matrix
+
+
+def coordinates_csv(coordinates: np.ndarray) -> bytes:
+    """The CSV text of 0/1 coordinates: one line per row, its digits separated by commas.
+
+    Built as one ``uint8`` buffer with ``'0' + C`` in the even columns, ``,``
+    in the odd ones and ``\\n`` at the end of each row, so a row with no
+    columns is just ``\\n``.
+    """
+    import numpy as np
+    rows, width = coordinates.shape
+    text = np.full((rows, max(2 * width, 1)), ord(","), dtype=np.uint8)
+    text[:, : 2 * width : 2] = coordinates + ord("0")
+    text[:, -1] = ord("\n")
+    return text.tobytes()
 
 
 def hamming_distances(coordinates: np.ndarray) -> np.ndarray:

@@ -169,7 +169,8 @@ class WreathWallSpace:
     def identity(self) -> WreathElement:
         return WreathElement.identity(self.lamps, self.rank)
 
-    def _check_elements(self, *elements: WreathElement) -> None:
+    def check_elements(self, *elements: WreathElement) -> None:
+        """Reject elements of another rank or lamp group."""
         for element in elements:
             if element.rank != self.rank:
                 raise ValueError(f"rank mismatch: {element.rank} vs {self.rank}")
@@ -180,7 +181,7 @@ class WreathWallSpace:
 
     def _spanning_words(self, elements: tuple[WreathElement, ...]) -> list[ReducedWord]:
         """Each position, and each site where a lamp configuration disagrees with the first."""
-        self._check_elements(*elements)
+        self.check_elements(*elements)
         first = set(elements[0].lamps.entries) if elements else set()
         sites = {p for x in elements[1:] for p, _ in first.symmetric_difference(x.lamps.entries)}
         return [*(x.position for x in elements), *sites]
@@ -197,35 +198,47 @@ class WreathWallSpace:
 
     def _keyed_edges(
         self, elements: tuple[WreathElement, ...]
-    ) -> Iterator[tuple[ReducedWord, dict[tuple, list[int]]]]:
-        """Each of the :meth:`base_walls`, with the elements keyed by their wall over it.
+    ) -> Iterator[tuple[ReducedWord, dict[tuple, list[int]], list[int]]]:
+        """Each of the :meth:`base_walls`, with the elements in its cone keyed by their wall.
 
         Over each such edge, an element lies in exactly one wall's positive
         half: its own side, decorated with its lamps beyond the edge. The key
         is that side (``inside`` the cone or not) and those entries; every
-        key on such an edge is a separating wall.
+        key on such an edge is a separating wall. Only the elements with a
+        position or lamp in the cone are keyed, and their indices come third.
+        Every other element lies in the one wall keyed ``(False, ())``, which
+        none of them has, since a cocone wall's decoration lives in the cone.
         """
-        index = list(range(len(elements)))  # one int object per element, shared by every edge
         positions = [x.position.letters for x in elements]
         sites = [[(p.letters, (p, v)) for p, v in x.lamps.entries] for x in elements]
+        in_cone: dict[tuple[int, ...], list[int]] = {}
+        for i, (position, entries) in enumerate(zip(positions, sites)):
+            words = (position, *(w for w, _ in entries))
+            for node in {w[:k] for w in words for k in range(1, len(w) + 1)}:
+                in_cone.setdefault(node, []).append(i)
         for edge in self.base_walls(*elements):
             deep = edge.letters
             depth = len(deep)
             members: dict[tuple, list[int]] = {}
-            for i, position, entries in zip(index, positions, sites):
-                inside = position[:depth] == deep
-                beyond = tuple([e for w, e in entries if (w[:depth] == deep) != inside])
+            for i in in_cone[deep]:
+                inside = positions[i][:depth] == deep
+                beyond = tuple([e for w, e in sites[i] if (w[:depth] == deep) != inside])
                 members.setdefault((inside, beyond), []).append(i)
-            yield edge, members
+            yield edge, members, in_cone[deep]
 
     def separating_walls(self, *elements: WreathElement) -> list[tuple[WreathHalfSpace, list[int]]]:
         """The walls separating some two of the elements, with the indices in each positive half.
 
-        One half-space is built per key of :meth:`_keyed_edges`. Returned in
-        canonical order.
+        One half-space is built per key of :meth:`_keyed_edges`, and one for
+        the elements outside the cone of an edge, if there are any. Returned
+        in canonical order.
         """
+        index = list(range(len(elements)))  # one int object per element, shared by every wall
         walls = []
-        for edge, members in self._keyed_edges(elements):
+        for edge, members, in_cone in self._keyed_edges(elements):
+            if len(in_cone) < len(index):
+                cone = set(in_cone)
+                members[(False, ())] = [i for i in index if i not in cone]
             for (inside, beyond), rows in members.items():
                 base = TreeHalfSpace(edge, inside)
                 decoration = LampConfig(beyond, self.lamps, self.rank)
@@ -235,7 +248,8 @@ class WreathWallSpace:
 
     def separating_wall_count(self, *elements: WreathElement) -> int:
         """How many :meth:`separating_walls` there are, counted by key without building them."""
-        return sum(len(members) for _, members in self._keyed_edges(elements))
+        n, edges = len(elements), self._keyed_edges(elements)
+        return sum(len(members) + (len(in_cone) < n) for _, members, in_cone in edges)
 
     def directed_separating_walls(
         self, inside: WreathElement, outside: WreathElement
@@ -266,7 +280,7 @@ class WreathWallSpace:
         into the shifted old decoration. Membership is equivariant:
         the result contains element*x exactly when ``half`` contains x.
         """
-        self._check_elements(element)
+        self.check_elements(element)
         moved_base = translate_half_space(element.position, half.base)
         shifted_decoration = half.decoration.shifted(element.position)
         own_outside = element.lamps.restrict(lambda p: not moved_base.contains(p))
@@ -315,7 +329,7 @@ class WreathWallSpace:
         much larger sweep. Refuses above the cap before testing an edge whose
         decorations would exceed it.
         """
-        self._check_elements(a, b)
+        self.check_elements(a, b)
         required = self.oracle_radius(a, b)
         if radius < required:
             raise ValueError(

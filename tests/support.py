@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 import random
 
+import numpy as np
+
 from wreathwalls import (
     GrowthRow,
     LampConfig,
@@ -99,6 +101,16 @@ def bfs_growth_rows(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
         distances = [space.wall_distance(identity, element) for element in sphere]
         rows.append(GrowthRow(r, len(sphere), min(distances), max(distances)))
     return rows
+
+
+def pairwise_distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np.ndarray:
+    """The distance matrix pair by pair through ``wall_distance``: the oracle for ``distance_matrix``."""
+    n = len(elements)
+    matrix = np.zeros((n, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(i + 1, n):
+            matrix[i, j] = matrix[j, i] = space.wall_distance(elements[i], elements[j])
+    return matrix
 
 
 def _series_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

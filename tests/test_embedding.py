@@ -24,7 +24,15 @@ from wreathwalls import (
 )
 from wreathwalls.grammar import parse_element
 
-from support import bfs_growth_rows, bivariate_growth_rows, random_element, s3, z2, z3
+from support import (
+    bfs_growth_rows,
+    bivariate_growth_rows,
+    pairwise_distance_matrix,
+    random_element,
+    s3,
+    z2,
+    z3,
+)
 from support import standard_generators as _standard_generators
 
 
@@ -69,6 +77,32 @@ class TestDistanceMatrix:
         for bad in (np.inf, np.nan):
             with pytest.raises(ValueError, match="non-finite"):
                 validate_distance_matrix(np.array([[0, bad], [bad, 0]]))
+
+    @pytest.mark.parametrize("big", [2**14 - 1, 2**14, 2**30 - 1, 2**30])
+    def test_triangle_check_on_each_side_of_the_narrow_dtypes(self, big):
+        # Twice 2**14 (2**30) is one past the int16 (int32) maximum: a sum the
+        # check forms there needs the next wider dtype.
+        equilateral = big * (1 - np.eye(3, dtype=np.int64))
+        broken = np.array([[0, big, 1], [big, 0, big - 2], [1, big - 2, 0]])
+        for dtype in (np.int64, np.float64):
+            validate_distance_matrix(equilateral.astype(dtype))
+            with pytest.raises(ValueError, match="triangle inequality fails through index 2"):
+                validate_distance_matrix(broken.astype(dtype))
+
+    def test_node_sum_equals_pairwise_loop_on_the_seeded_sample(self):
+        # The first 150 elements of the seeded n = 1000 certification sample.
+        rng = random.Random(7)
+        elements = []
+        while len(elements) < 150:
+            e = random_element(rng, z2(), 2, max_lamps=6, max_len=8)
+            if e not in elements:
+                elements.append(e)
+        sp = WreathWallSpace(z2(), 2)
+        assert np.array_equal(distance_matrix(sp, elements), pairwise_distance_matrix(sp, elements))
+
+    def test_rejects_elements_of_another_space(self):
+        with pytest.raises(ValueError, match="different lamp group"):
+            distance_matrix(WreathWallSpace(z2(), 2), sample(["{a:1}|b"], lamps=z3()))
 
     def test_accepts_wall_distance_matrices(self):
         rng = random.Random(211)

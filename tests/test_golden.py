@@ -318,3 +318,54 @@ def test_embed_stdout_and_exports_are_byte_identical(fmt, capsys, tmp_path):
     shown = json.dumps(str(out)) if fmt == "json" else str(out)
     assert (code, capsys.readouterr().out) == (0, EMBED_CASES[fmt].replace("OUT", shown))
     assert {name: (out / name).read_text() for name in EMBED_FILES} == EMBED_FILES
+
+
+# The smallest shapes of the export writers: one element (no walls, so every
+# coordinates row is empty) and two. Captured before coordinates.csv was
+# written from one byte buffer.
+SMALL_EMBEDS = {
+    "one": (
+        "{}|ab\n",
+        {
+            "elements.txt": "{}|ab\n",
+            "walls.txt": "",
+            "distances.csv": "0\n",
+            "coordinates.csv": "\n",
+        },
+        {
+            "text": "wrote 1 elements x 0 walls to OUT; isometry self-check ok\n",
+            "json": '{"dimension": 1, "isometry_ok": true, "out": OUT, "wall_count": 0}\n',
+        },
+    ),
+    "two": (
+        "{a:1}|b\n{}|1\n",
+        {
+            "elements.txt": "{a:1}|b\n{}|1\n",
+            "walls.txt": (
+                "E(COCONE(a), {})\n"
+                "E(COCONE(a), {a:1})\n"
+                "E(CONE(b), {a:1})\n"
+                "E(COCONE(b), {})\n"
+            ),
+            "distances.csv": "0,4\n4,0\n",
+            "coordinates.csv": "0,1,1,0\n1,0,0,1\n",
+        },
+        {
+            "text": "wrote 2 elements x 4 walls to OUT; isometry self-check ok\n",
+            "json": '{"dimension": 2, "isometry_ok": true, "out": OUT, "wall_count": 4}\n',
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("name", sorted(SMALL_EMBEDS))
+def test_small_embed_stdout_and_exports_are_byte_identical(name, fmt, capsys, tmp_path):
+    text, files, stdouts = SMALL_EMBEDS[name]
+    sample = tmp_path / "sample.txt"
+    sample.write_text(text)
+    out = tmp_path / "exports"
+    code = main(["--format", fmt, "embed", "--sample", str(sample), "--out", str(out)])
+    shown = json.dumps(str(out)) if fmt == "json" else str(out)
+    assert (code, capsys.readouterr().out) == (0, stdouts[fmt].replace("OUT", shown))
+    assert {file: (out / file).read_bytes().decode() for file in files} == files

@@ -5,10 +5,11 @@ words, elements or samples. The n-point ``separating_tree_walls`` and
 ``base_walls`` must equal the union of their pairwise calls, the closed form
 ``wall_distance`` must agree with both directed enumerations and with the
 brute-force search, ``separating_walls`` with the pairwise union of directed
-walls (and ``separating_wall_count`` with their number), and the wall
-coordinates with per-cell membership and, by Hamming distance, with the
-distance matrix. A random element must lie in the generated sub-level set
-exactly when its wall distance to the identity is within the level. The
+walls (and ``separating_wall_count`` with their number), the node-sum
+distance matrix with ``wall_distance`` pair by pair, and the wall coordinates
+with per-cell membership and, by Hamming distance, with the distance matrix.
+A random element must lie in the generated sub-level set exactly when its
+wall distance to the identity is within the level. The
 brute-force search itself must equal a plain reference sweep, the wall
 distance must be left-invariant, and the left action on half-spaces must be
 equivariant. On breadth-first word-metric
@@ -53,7 +54,7 @@ from wreathwalls import (
 )
 from wreathwalls.wreath_walls import spanned_edge_series
 
-from support import bfs_spheres, format_lamp_table, s3, z2, z3
+from support import bfs_spheres, format_lamp_table, pairwise_distance_matrix, s3, z2, z3
 from support import spanned_edge_series as two_variable_series
 
 LAMPS = [z2(), z3(), s3()]
@@ -210,6 +211,13 @@ def test_sublevel_holds_exactly_the_elements_within_the_wall_distance(
     x = data.draw(elements(space.lamps, rank, 2), label="x")
     within = space.wall_distance(space.identity(), x) <= max_wall
     assert (x in sublevel_set(lamp_index, rank, max_wall)) == within
+
+
+@settings(deadline=None, max_examples=100)
+@given(samples(min_size=1))
+def test_node_sum_distance_matrix_equals_pairwise_wall_distances(case):
+    space, sample = case
+    assert np.array_equal(distance_matrix(space, sample), pairwise_distance_matrix(space, sample))
 
 
 @settings(deadline=None, max_examples=60)
