@@ -69,11 +69,12 @@ def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np
             other_side = tuple([site for site in sites if (site[0][:depth] == u) != inside])
             groups.setdefault(u, []).append(i)
             groups.setdefault((u, inside, other_side), []).append(i)
-    shared = np.zeros((n, n), dtype=np.int64)
+    matrix = np.zeros((n, n), dtype=np.int64)
     for rows in groups.values():
         if len(rows) > 1:
-            shared[np.ix_(rows, rows)] += 1
-    matrix = 2 * (occupied[:, None] + occupied[None, :] - shared)
+            matrix[np.ix_(rows, rows)] -= 2
+    matrix += 2 * occupied[:, None]
+    matrix += 2 * occupied[None, :]
     np.fill_diagonal(matrix, 0)
     validate_distance_matrix(matrix)
     return matrix
