@@ -206,8 +206,9 @@ class WreathWallSpace:
         is that side (``inside`` the cone or not) and those entries; every
         key on such an edge is a separating wall. Only the elements with a
         position or lamp in the cone are keyed, and their indices come third.
-        Every other element lies in the one wall keyed ``(False, ())``, which
-        none of them has, since a cocone wall's decoration lives in the cone.
+        Every other element lies in the one wall keyed ``(False, ())``, a key
+        no element in the cone has, since a cocone wall's decoration lives in
+        the cone.
         """
         positions = [x.position.letters for x in elements]
         sites = [[(p.letters, (p, v)) for p, v in x.lamps.entries] for x in elements]

@@ -104,7 +104,10 @@ def bfs_growth_rows(space: WreathWallSpace, radius: int) -> list[GrowthRow]:
 
 
 def pairwise_distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np.ndarray:
-    """The distance matrix pair by pair through ``wall_distance``: the oracle for ``distance_matrix``."""
+    """The distance matrix pair by pair through ``wall_distance``.
+
+    The oracle of the node sum in ``distance_matrix``.
+    """
     n = len(elements)
     matrix = np.zeros((n, n), dtype=np.int64)
     for i in range(n):
