@@ -7,7 +7,8 @@ Results go to stdout, errors to stderr. Exit codes: 0 success, 1 a checked
 property failed (oracle mismatch, non-CND kernel, properness violation,
 isometry self-check), 2 usage or input errors. A reader that closes stdout
 early ends the output quietly, with 0.
-Identical invocations produce byte-identical output.
+Identical invocations produce byte-identical output, except the last digits
+of ``cnd``'s eigenvalue, which can vary with the number of BLAS threads.
 """
 
 from __future__ import annotations

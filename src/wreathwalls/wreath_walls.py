@@ -36,12 +36,7 @@ from .groups import (
     tree_children,
     within_cap,
 )
-from .walls import (
-    TreeHalfSpace,
-    separating_tree_walls,
-    spanned_edges,
-    translate_half_space,
-)
+from .walls import TreeHalfSpace, spanned_edges, translate_half_space
 
 
 @dataclass(frozen=True)
@@ -179,37 +174,24 @@ class WreathWallSpace:
 
     # -- separating walls ---------------------------------------------------
 
-    def _spanning_words(self, elements: tuple[WreathElement, ...]) -> list[ReducedWord]:
-        """Each position, and each site where a lamp configuration disagrees with the first."""
-        self.check_elements(*elements)
-        first = set(elements[0].lamps.entries) if elements else set()
-        sites = {p for x in elements[1:] for p, _ in first.symmetric_difference(x.lamps.entries)}
-        return [*(x.position for x in elements), *sites]
-
-    def base_walls(self, *elements: WreathElement) -> tuple[ReducedWord, ...]:
-        """The base walls carrying a wall between some two of the elements.
-
-        The edges of the subtree spanned by every position and every site
-        where two lamp configurations disagree, which is where one disagrees
-        with the first; any other base wall has all the elements on one side
-        with equal lamps beyond it. Each is its deep endpoint, in shortlex order.
-        """
-        return separating_tree_walls(*self._spanning_words(elements))
-
     def _keyed_edges(
         self, elements: tuple[WreathElement, ...]
     ) -> Iterator[tuple[ReducedWord, dict[tuple, list[int]], list[int]]]:
-        """Each of the :meth:`base_walls`, with the elements in its cone keyed by their wall.
+        """Each base wall between some two of the elements, with its cone's elements keyed.
 
-        Over each such edge, an element lies in exactly one wall's positive
-        half: its own side, decorated with its lamps beyond the edge. The key
-        is that side (``inside`` the cone or not) and those entries; every
-        key on such an edge is a separating wall. Only the elements with a
-        position or lamp in the cone are keyed, and their indices come third.
-        Every other element lies in the one wall keyed ``(False, ())``, a key
-        no element in the cone has, since a cocone wall's decoration lives in
-        the cone.
+        Over an edge, an element lies in exactly one wall's positive half:
+        its own side, decorated with its lamps beyond the edge. The key is
+        that side (``inside`` the cone or not) and those entries, and two
+        elements are separated over the edge exactly when their keys differ.
+        Only the elements with a position or lamp in the cone are keyed, and
+        their indices come third. Every other element lies in the one wall
+        keyed ``(False, ())``, a key no element in the cone has, since a
+        cocone wall's decoration lives in the cone. An edge is yielded, in no
+        fixed order, when its elements fall under two or more keys; an edge
+        whose cone no element reaches has them all under that one key.
         """
+        self.check_elements(*elements)
+        n = len(elements)
         positions = [x.position.letters for x in elements]
         sites = [[(p.letters, (p, v)) for p, v in x.lamps.entries] for x in elements]
         in_cone: dict[tuple[int, ...], list[int]] = {}
@@ -217,15 +199,15 @@ class WreathWallSpace:
             words = (position, *(w for w, _ in entries))
             for node in {w[:k] for w in words for k in range(1, len(w) + 1)}:
                 in_cone.setdefault(node, []).append(i)
-        for edge in self.base_walls(*elements):
-            deep = edge.letters
+        for deep, cone in in_cone.items():
             depth = len(deep)
             members: dict[tuple, list[int]] = {}
-            for i in in_cone[deep]:
+            for i in cone:
                 inside = positions[i][:depth] == deep
                 beyond = tuple([e for w, e in sites[i] if (w[:depth] == deep) != inside])
                 members.setdefault((inside, beyond), []).append(i)
-            yield edge, members, in_cone[deep]
+            if len(members) + (len(cone) < n) > 1:
+                yield ReducedWord(deep, self.rank), members, cone
 
     def separating_walls(self, *elements: WreathElement) -> list[tuple[WreathHalfSpace, list[int]]]:
         """The walls separating some two of the elements, with the indices in each positive half.
@@ -269,7 +251,9 @@ class WreathWallSpace:
         Every base wall between the two carries exactly one separating wall
         in each direction, so the count is twice the number of base walls.
         """
-        return 2 * len(spanned_edges(*self._spanning_words((a, b))))
+        self.check_elements(a, b)
+        sites = {p for p, _ in set(a.lamps.entries).symmetric_difference(b.lamps.entries)}
+        return 2 * len(spanned_edges(a.position, b.position, *sites))
 
     # -- group action -------------------------------------------------------
 

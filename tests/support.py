@@ -15,6 +15,7 @@ from wreathwalls import (
     TreeHalfSpace,
     WreathElement,
     WreathWallSpace,
+    separating_tree_walls,
 )
 from wreathwalls.wreath_walls import WreathHalfSpace
 
@@ -114,6 +115,21 @@ def pairwise_distance_matrix(space: WreathWallSpace, elements: list[WreathElemen
         for j in range(i + 1, n):
             matrix[i, j] = matrix[j, i] = space.wall_distance(elements[i], elements[j])
     return matrix
+
+
+def base_walls(space: WreathWallSpace, *elements: WreathElement) -> tuple[ReducedWord, ...]:
+    """The base walls carrying a wall between some two of the elements, by closed form.
+
+    The edges of the subtree spanned by every position and every site where
+    a lamp configuration disagrees with the first's; any other base wall has
+    all the elements on one side with equal lamps beyond it. Each is its
+    deep endpoint, in shortlex order. The oracle of the edges that
+    ``separating_walls`` keys.
+    """
+    space.check_elements(*elements)
+    first = set(elements[0].lamps.entries) if elements else set()
+    sites = {p for x in elements[1:] for p, _ in first.symmetric_difference(x.lamps.entries)}
+    return separating_tree_walls(*(x.position for x in elements), *sites)
 
 
 def _series_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:

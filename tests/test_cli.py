@@ -347,7 +347,7 @@ class TestCndCommand:
         def no_wall_work(*args):
             raise AssertionError("wall work ran before the cap check")
 
-        monkeypatch.setattr(WreathWallSpace, "base_walls", no_wall_work)
+        monkeypatch.setattr(WreathWallSpace, "_keyed_edges", no_wall_work)
         sample = tmp_path / "sample.txt"
         sample.write_text("{}|1\n{}|a\n{}|ab\n")
         # 8 admits the Z/2 table check (2**3 triples) but not the 3 * 3 matrix.

@@ -1,10 +1,11 @@
 """Property-based oracle checks: the closed-form wall count against its enumerations.
 
 Hypothesis draws a lamp group (Z/2, Z/3 or S3), a rank from 1 to 3, and
-words, elements or samples. The n-point ``separating_tree_walls`` and
-``base_walls`` must equal the union of their pairwise calls, the closed form
-``wall_distance`` must agree with both directed enumerations and with the
-brute-force search, ``separating_walls`` with the pairwise union of directed
+words, elements or samples. The n-point ``separating_tree_walls`` and the
+``base_walls`` oracle of ``support`` must equal the union of their pairwise
+calls, and the deep endpoints of ``separating_walls`` must equal that oracle;
+the closed form ``wall_distance`` must agree with both directed enumerations
+and with the brute-force search, ``separating_walls`` with the pairwise union of directed
 walls (and ``separating_wall_count`` with their number), the node-sum
 distance matrix with ``wall_distance`` pair by pair, and the wall coordinates
 with per-cell membership and, by Hamming distance, with the distance matrix.
@@ -54,7 +55,15 @@ from wreathwalls import (
 )
 from wreathwalls.wreath_walls import spanned_edge_series
 
-from support import bfs_spheres, format_lamp_table, pairwise_distance_matrix, s3, z2, z3
+from support import (
+    base_walls,
+    bfs_spheres,
+    format_lamp_table,
+    pairwise_distance_matrix,
+    s3,
+    z2,
+    z3,
+)
 from support import spanned_edge_series as two_variable_series
 
 LAMPS = [z2(), z3(), s3()]
@@ -104,7 +113,7 @@ def test_closed_form_equals_both_directed_counts(case):
     reverse = space.directed_separating_walls(b, a)
     assert len(forward) == len(reverse)
     assert space.wall_distance(a, b) == len(forward) + len(reverse)
-    assert space.base_walls(a, b) == space.base_walls(b, a)
+    assert base_walls(space, a, b) == base_walls(space, b, a)
 
 
 @settings(deadline=None, max_examples=40)
@@ -183,9 +192,12 @@ def test_sample_walls_equal_pairwise_directed_union(case):
         for j in range(i + 1, len(sample)):
             union.update(space.directed_separating_walls(sample[i], sample[j]))
             union.update(space.directed_separating_walls(sample[j], sample[i]))
-            edges.update(space.base_walls(sample[i], sample[j]))
-    assert space.base_walls(*sample) == tuple(sorted(edges, key=lambda w: w.sort_key()))
+            edges.update(base_walls(space, sample[i], sample[j]))
+    closed_form = base_walls(space, *sample)
+    assert closed_form == tuple(sorted(edges, key=lambda w: w.sort_key()))
     walls = [wall for wall, _ in space.separating_walls(*sample)]
+    deeps = sorted({wall.base.deep for wall in walls}, key=lambda w: w.sort_key())
+    assert tuple(deeps) == closed_form
     assert walls == sorted(union, key=lambda w: w.sort_key())
     assert len(set(walls)) == len(walls)
 

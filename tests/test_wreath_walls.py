@@ -150,10 +150,30 @@ class TestDirectedSeparation:
 
     def test_rejects_foreign_elements(self):
         sp = space()
-        with pytest.raises(ValueError):
-            sp.directed_separating_walls(elem("{}|1"), elem("{}|1", z3()))
-        with pytest.raises(ValueError):
-            sp.directed_separating_walls(elem("{}|1"), elem("{}|1", rank=3))
+        for foreign in (elem("{}|1", z3()), elem("{}|1", rank=3)):
+            with pytest.raises(ValueError):
+                sp.directed_separating_walls(elem("{}|1"), foreign)
+            with pytest.raises(ValueError):
+                sp.separating_walls(foreign)
+            with pytest.raises(ValueError):
+                sp.separating_wall_count(elem("{}|1"), foreign)
+
+
+class TestSampleWalls:
+    def test_occupied_node_that_separates_nothing_carries_no_wall(self):
+        # Nodes a and aa are occupied by all three elements, all under the key
+        # (False, ((aa, 1),)): one wall each, which separates nothing.
+        sp = space()
+        sample = [elem("{aa:1}|1"), elem("{aa:1}|b"), elem("{aa:1,B:1}|1")]
+        assert [(str(w), rows) for w, rows in sp.separating_walls(*sample)] == [
+            ("E(CONE(b), {aa:1})", [1]),
+            ("E(COCONE(b), {})", [0, 2]),
+            ("E(COCONE(B), {})", [0, 1]),
+            ("E(COCONE(B), {B:1})", [2]),
+        ]
+        assert sp.separating_wall_count(*sample) == 4
+        assert sp.separating_walls(sample[0]) == []
+        assert sp.separating_wall_count(sample[0]) == 0
 
 
 class TestWallDistance:
@@ -246,8 +266,7 @@ class TestWallDistance:
 
         for module in (walls_module, wreath_walls_module):
             monkeypatch.setattr(module, "spanned_edges", closed_form)
-            monkeypatch.setattr(module, "separating_tree_walls", closed_form)
-        monkeypatch.setattr(WreathWallSpace, "base_walls", closed_form)
+        monkeypatch.setattr(walls_module, "separating_tree_walls", closed_form)
         monkeypatch.setattr(WreathWallSpace, "_keyed_edges", closed_form)
         with pytest.raises(AssertionError):
             sp.wall_distance(*pairs[0])
