@@ -57,7 +57,7 @@ def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np
     n = len(elements)
     within_cap(n * n, space.cap, f"distance matrix of {n} elements")
     occupied = np.zeros(n, dtype=np.int64)
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[str | tuple, list[int]] = {}
     for i, x in enumerate(elements):
         position = x.position.letters
         sites = [(p.letters, v) for p, v in x.lamps.entries]

@@ -20,6 +20,7 @@ and their lines end only where a text file's do: at LF, CR LF or CR.
 from __future__ import annotations
 
 import io
+import re
 from collections.abc import Iterable
 from pathlib import Path
 
@@ -29,6 +30,7 @@ from .groups import (
     LampGroup,
     ReducedWord,
     WreathElement,
+    _ALPHABET,
     check_rank,
     check_table_order,
     within_cap,
@@ -52,27 +54,21 @@ def parse_int(text: str) -> int:
     return value if digits == text else -value
 
 
+_LETTER_RUN = re.compile(f"[{_ALPHABET}]*")
+
+
 def _scan_word(text: str, start: int, rank: int) -> tuple[ReducedWord, int]:
-    if start < len(text) and text[start] == "1":
+    if text.startswith("1", start):
         return ReducedWord.identity(rank), start + 1
-    letters = []
-    i = start
-    while i < len(text):
-        c = text[i]
-        if "a" <= c <= "z":
-            index = ord(c) - ord("a") + 1
-        elif "A" <= c <= "Z":
-            index = -(ord(c) - ord("A") + 1)
-        else:
-            break
-        if abs(index) > rank:
-            raise ParseError(f"generator {c!r} outside rank {rank}", i)
-        letters.append(index)
-        i += 1
+    end = _LETTER_RUN.match(text, start).end()
+    letters = text[start:end]
+    outside = letters.lstrip(_ALPHABET[: 2 * rank])
+    if outside:
+        raise ParseError(f"generator {outside[0]!r} outside rank {rank}", end - len(outside))
     if not letters:
         found = text[start] if start < len(text) else "end of input"
         raise ParseError(f"expected a word, found {found!r}", start)
-    return ReducedWord.from_letters(letters, rank), i
+    return ReducedWord.from_letters(letters, rank), end
 
 
 def _expect(text: str, i: int, char: str) -> int:

@@ -18,6 +18,7 @@ function of its inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -73,64 +74,61 @@ def check_rank(rank: int) -> None:
 # Free group words
 # ---------------------------------------------------------------------------
 
-# A letter is a nonzero signed generator index: +i is the i-th generator,
-# -i its inverse (1-based, i <= rank).
+# A letter is a character of the printed alphabet: the i-th lower-case letter
+# is the i-th generator (i <= rank), its upper case the inverse. A word's
+# letters are the string it prints as.
+
+_ALPHABET = "".join(c + c.upper() for c in "abcdefghijklmnopqrstuvwxyz")  # a, A, b, B, ...
+_SHORTLEX = str.maketrans(_ALPHABET, "".join(map(chr, range(len(_ALPHABET)))))
+_CANCELLING = re.compile("|".join(c + c.swapcase() for c in _ALPHABET))  # aA, Aa, bB, ...
 
 
-def letter_order(letter: int) -> int:
-    """Total order on letters: a < A < b < B < ... (generator before inverse)."""
-    return 2 * (abs(letter) - 1) + (0 if letter > 0 else 1)
+def free_reduce(letters: str) -> str:
+    """Cancel adjacent inverse pairs (``x`` and ``x.swapcase()``) until none remain.
 
-
-def letter_char(letter: int) -> str:
-    index = abs(letter) - 1
-    return chr(ord("a") + index) if letter > 0 else chr(ord("A") + index)
-
-
-def free_reduce(letters: Iterable[int]) -> tuple[int, ...]:
-    """Cancel adjacent inverse pairs until none remain.
-
-    Returns the unique freely reduced form of the sequence; idempotent.
+    Returns the unique freely reduced form of the letter string; idempotent.
     """
-    out: list[int] = []
+    out: list[str] = []
     for letter in letters:
-        if letter == 0:
-            raise ValueError("0 is not a generator index")
-        if out and out[-1] == -letter:
+        if letter not in _ALPHABET:
+            raise ValueError(f"{letter!r} is not a generator letter")
+        if out and out[-1] == letter.swapcase():
             out.pop()
         else:
             out.append(letter)
-    return tuple(out)
+    return "".join(out)
 
 
 @dataclass(frozen=True)
 class ReducedWord:
     """A freely reduced word over the generators of F_n.
 
-    ``letters`` holds signed 1-based generator indices with no adjacent
-    cancelling pair; ``rank`` is n. The empty word is the identity.
+    ``letters`` is the printed string: ``a``, ``b``, ... for the generators
+    and ``A``, ``B``, ... for their inverses, the first ``rank`` of each,
+    with no adjacent cancelling pair; ``rank`` is n. The empty string is the
+    identity.
     """
 
-    letters: tuple[int, ...]
+    letters: str
     rank: int
 
     def __post_init__(self) -> None:
         check_rank(self.rank)
-        previous = 0
-        for letter in self.letters:
-            if not 1 <= abs(letter) <= self.rank:
-                raise ValueError(f"letter {letter} outside rank {self.rank}")
-            if letter == -previous:
-                raise ValueError(f"word {self.letters} is not freely reduced")
-            previous = letter
+        if not isinstance(self.letters, str):
+            raise TypeError(f"letters must be a str, got {self.letters!r}")
+        outside = self.letters.strip(_ALPHABET[: 2 * self.rank])
+        if outside:
+            raise ValueError(f"letter {outside[0]!r} outside rank {self.rank}")
+        if _CANCELLING.search(self.letters):
+            raise ValueError(f"word {self.letters!r} is not freely reduced")
 
     @classmethod
     def identity(cls, rank: int) -> "ReducedWord":
-        return cls((), rank)
+        return cls("", rank)
 
     @classmethod
-    def from_letters(cls, letters: Iterable[int], rank: int) -> "ReducedWord":
-        """Build a word from a raw (possibly unreduced) letter sequence."""
+    def from_letters(cls, letters: str, rank: int) -> "ReducedWord":
+        """Build a word from a raw (possibly unreduced) letter string."""
         return cls(free_reduce(letters), rank)
 
     def __mul__(self, other: "ReducedWord") -> "ReducedWord":
@@ -141,7 +139,7 @@ class ReducedWord:
         return ReducedWord(free_reduce(self.letters + other.letters), self.rank)
 
     def inverse(self) -> "ReducedWord":
-        return ReducedWord(tuple(-l for l in reversed(self.letters)), self.rank)
+        return ReducedWord(self.letters[::-1].swapcase(), self.rank)
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -153,7 +151,7 @@ class ReducedWord:
     def starts_with(self, prefix: "ReducedWord") -> bool:
         if prefix.rank != self.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {prefix.rank}")
-        return self.letters[: len(prefix.letters)] == prefix.letters
+        return self.letters.startswith(prefix.letters)
 
     def parent(self) -> "ReducedWord":
         """Drop the final letter: the adjacent Cayley-tree vertex nearer 1."""
@@ -163,10 +161,10 @@ class ReducedWord:
 
     def sort_key(self) -> tuple:
         """Shortlex key: by length, then letterwise in a < A < b < B order."""
-        return (len(self.letters), tuple(letter_order(l) for l in self.letters))
+        return (len(self.letters), self.letters.translate(_SHORTLEX))
 
     def __str__(self) -> str:
-        return "".join(letter_char(l) for l in self.letters) or "1"
+        return self.letters or "1"
 
     def __repr__(self) -> str:
         return f"ReducedWord({str(self)!r}, rank={self.rank})"
@@ -194,34 +192,27 @@ def capped_ball_size(rank: int, radius: int, cap: int) -> int:
     return within_cap(predicted, cap, f"ball of radius {radius} in F_{rank}")
 
 
-def ball_letters(rank: int, radius: int, cap: int = DEFAULT_CAP) -> Iterator[tuple[int, ...]]:
-    """The letter tuples of all reduced words of length <= radius, in shortlex order.
+def ball_letters(rank: int, radius: int, cap: int = DEFAULT_CAP) -> Iterator[str]:
+    """The letter strings of all reduced words of length <= radius, in shortlex order.
 
     Refuses with :class:`CapExceededError` above ``cap`` (see
     :func:`capped_ball_size`) before yielding any; the ball grows like
-    (2*rank-1)**radius. Every tuple is reduced by construction.
+    (2*rank-1)**radius. Every string is reduced by construction.
     """
     capped_ball_size(rank, radius, cap)
     check_rank(rank)
     return _ball_levels(rank, radius)
 
 
-_LETTERS = tuple(x for i in range(1, MAX_RANK + 1) for x in (i, -i))  # a, A, b, B, ...
-
-
-def tree_children(letters: tuple[int, ...], rank: int) -> list[tuple[int, ...]]:
+def tree_children(letters: str, rank: int) -> list[str]:
     """The Cayley-tree children of a reduced word: one letter longer, in shortlex order."""
-    back = -letters[-1] if letters else 0
-    children = []
-    for letter in _LETTERS[: 2 * rank]:
-        if letter != back:
-            children.append(letters + (letter,))
-    return children
+    back = letters[-1:].swapcase()
+    return [letters + letter for letter in _ALPHABET[: 2 * rank] if letter != back]
 
 
-def _ball_levels(rank: int, radius: int) -> Iterator[tuple[int, ...]]:
-    level: list[tuple[int, ...]] = [()]
-    yield ()
+def _ball_levels(rank: int, radius: int) -> Iterator[str]:
+    level = [""]
+    yield ""
     for _ in range(radius):
         level = [child for letters in level for child in tree_children(letters, rank)]
         yield from level

@@ -44,8 +44,8 @@ class TreeHalfSpace:
         return f"{self.side}({self.deep})"
 
 
-def spanned_edges(*words: ReducedWord) -> set[tuple[int, ...]]:
-    """The deep endpoints, as letter tuples, of the edges of the subtree the words span.
+def spanned_edges(*words: ReducedWord) -> set[str]:
+    """The deep endpoints, as letter strings, of the edges of the subtree the words span.
 
     They are the words' prefixes longer than their longest common prefix, the
     one the lexicographically least and greatest words share. Two words x and

@@ -194,7 +194,7 @@ class WreathWallSpace:
         n = len(elements)
         positions = [x.position.letters for x in elements]
         sites = [[(p.letters, (p, v)) for p, v in x.lamps.entries] for x in elements]
-        in_cone: dict[tuple[int, ...], list[int]] = {}
+        in_cone: dict[str, list[int]] = {}
         for i, (position, entries) in enumerate(zip(positions, sites)):
             words = (position, *(w for w, _ in entries))
             for node in {w[:k] for w in words for k in range(1, len(w) + 1)}:
@@ -301,7 +301,7 @@ class WreathWallSpace:
         ``deep`` when ``deep`` is a prefix of it. One prefix table maps each
         prefix of a word occurring in a or b (a position or lamp site) to the
         occurring words that start with it; a ball word missing from it has
-        an empty cone. Every ball word is still visited, as a letter tuple,
+        an empty cone. Every ball word is still visited, as a letter string,
         but what its edge keeps depends only on its cone, so each distinct
         cone is evaluated once. A kept wall is built as a
         :class:`WreathHalfSpace`, its deep endpoint the only word made from
@@ -334,13 +334,13 @@ class WreathWallSpace:
                     if half.contains(a) != half.contains(b):
                         found.append(half)
             return tuple(sorted(found, key=WreathHalfSpace.sort_key))
-        starting: dict[tuple[int, ...], set[tuple[int, ...]]] = {}
+        starting: dict[str, set[str]] = {}
         for x in (a, b):
             for word in (x.position, *x.lamps.support):
                 for depth in range(1, len(word) + 1):
                     starting.setdefault(word.letters[:depth], set()).add(word.letters)
         cones = {prefix: frozenset(words) for prefix, words in starting.items()}
-        no_cone: frozenset[tuple[int, ...]] = frozenset()
+        no_cone: frozenset[str] = frozenset()
         sites_a = [(p.letters, (p, v)) for p, v in a.lamps.entries]
         sites_b = [(p.letters, (p, v)) for p, v in b.lamps.entries]
 
@@ -359,7 +359,7 @@ class WreathWallSpace:
                         walls.append((inside, decoration, in_a, in_b))
             return walls
 
-        by_cone: dict[frozenset[tuple[int, ...]], list] = {}
+        by_cone: dict[frozenset[str], list] = {}
         for letters in itertools.islice(ball_letters(self.rank, radius, self.cap), 1, None):
             cone = cones.get(letters, no_cone)
             walls = by_cone.get(cone)
@@ -414,7 +414,7 @@ class WreathWallSpace:
         series = spanned_edge_series(self.rank, edges, [self.lamps.order], [0, 1], [0, 1])
         return within_cap(sum(series), self.cap, what)
 
-    def _rooted_subtrees(self, max_edges: int) -> Iterator[list[tuple[int, ...]]]:
+    def _rooted_subtrees(self, max_edges: int) -> Iterator[list[str]]:
         """Vertex lists, root first, of each Cayley subtree holding 1 with <= max_edges edges.
 
         Each subtree is grown once: a vertex is added only from the part of
@@ -429,7 +429,7 @@ class WreathWallSpace:
                     children = tree_children(vertex, self.rank)
                     yield from grow(vertices + [vertex], frontier[i + 1 :] + children)
 
-        return grow([()], tree_children((), self.rank))
+        return grow([""], tree_children("", self.rank))
 
     def sublevel(self, max_wall: int) -> list[WreathElement]:
         """Every element at wall distance <= max_wall from the identity, in canonical order.
@@ -443,8 +443,8 @@ class WreathWallSpace:
         above the cap (see :meth:`sublevel_size`) before building anything.
         """
         self.sublevel_size(max_wall)
-        words: dict[tuple[int, ...], ReducedWord] = {}
-        keys: dict[tuple[int, ...], tuple] = {}
+        words: dict[str, ReducedWord] = {}
+        keys: dict[str, tuple] = {}
         lit = range(1, self.lamps.order)
 
         def configs(order, choices) -> list[tuple[tuple, LampConfig]]:

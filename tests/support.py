@@ -21,6 +21,13 @@ from wreathwalls.wreath_walls import WreathHalfSpace
 
 
 # -- independent oracles ------------------------------------------------------
+# The oracles below work on signed 1-based generator indices (+i the i-th
+# generator, -i its inverse) and spell a word's letters only to build it.
+
+
+def spell(letters) -> str:
+    """The printed letters of signed generator indices: +i is the i-th of a..z, -i of A..Z."""
+    return "".join(chr(ord("a" if l > 0 else "A") + abs(l) - 1) for l in letters)
 
 
 def naive_reduce(letters) -> tuple[int, ...]:
@@ -70,7 +77,7 @@ def standard_generators(space: WreathWallSpace) -> list[WreathElement]:
     moves = []
     for index in range(1, space.rank + 1):
         for letter in (index, -index):
-            moves.append(WreathElement(empty, ReducedWord((letter,), space.rank)))
+            moves.append(WreathElement(empty, ReducedWord(spell([letter]), space.rank)))
     for value in range(1, space.lamps.order):
         config = LampConfig.from_pairs([(identity_word, value)], space.lamps, space.rank)
         moves.append(WreathElement(config, identity_word))
@@ -251,7 +258,7 @@ def random_reduced_word(rng: random.Random, rank: int, max_len: int) -> ReducedW
     for _ in range(length):
         choices = [l for l in alphabet if not letters or l != -letters[-1]]
         letters.append(rng.choice(choices))
-    return ReducedWord(tuple(letters), rank)
+    return ReducedWord(spell(letters), rank)
 
 
 def random_config(

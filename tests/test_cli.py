@@ -703,6 +703,37 @@ class TestErrorsAndDeterminism:
             outputs.add(out)
         assert len(outputs) == 1
 
+    def test_output_does_not_depend_on_the_hash_seed(self, tmp_path):
+        # Words are keyed by their letter strings, whose hashes change with each
+        # process's seed: no set or dict order may reach stdout or an export.
+        sample = tmp_path / "sample.txt"
+        lines = ["{}|1", "{a:1,bA:1}|ab", "{B:1}|aB", "{ab:1,Ba:1}|b", "{1:1,aa:1}|BA", "{abA:1}|bb"]
+        sample.write_text("".join(f"{line}\n" for line in lines))
+        out = tmp_path / "exports"
+        commands = [
+            ["walls", "{ab:1,Ba:1}|aB", "{a:1,bA:1}|bbA"],
+            ["--format", "json", "proper", "--max-wall", "4"],
+            ["cnd", "--sample", str(sample)],
+            ["embed", "--sample", str(sample), "--out", str(out)],
+        ]
+        runs = []
+        for seed in ("0", "1"):
+            env = {**child_env(), "PYTHONHASHSEED": seed}
+            stdouts = []
+            for argv in commands:
+                result = subprocess.run(
+                    [sys.executable, "-m", "wreathwalls", *argv],
+                    capture_output=True,
+                    env=env,
+                    timeout=60,
+                )
+                assert (result.returncode, result.stderr) == (0, b"")
+                stdouts.append(result.stdout)
+            exports = {path.name: path.read_bytes() for path in out.iterdir()}
+            runs.append((stdouts, exports))
+        assert len(runs[0][1]) == 4
+        assert runs[0] == runs[1]
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m(self):

@@ -31,7 +31,7 @@ class TestParseWord:
 
     def test_letters(self):
         w = parse_word("aBa", 2)
-        assert w.letters == (1, -2, 1)
+        assert w.letters == "aBa"
 
     def test_reduces_on_parse(self):
         assert parse_word("aA", 2).is_identity

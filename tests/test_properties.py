@@ -61,6 +61,7 @@ from support import (
     format_lamp_table,
     pairwise_distance_matrix,
     s3,
+    spell,
     z2,
     z3,
 )
@@ -71,7 +72,8 @@ LAMPS = [z2(), z3(), s3()]
 
 def words(rank: int, max_len: int) -> st.SearchStrategy[ReducedWord]:
     letters = st.sampled_from([i for i in range(1, rank + 1)] + [-i for i in range(1, rank + 1)])
-    return st.lists(letters, max_size=max_len).map(lambda ls: ReducedWord.from_letters(ls, rank))
+    raw = st.lists(letters, max_size=max_len)
+    return raw.map(lambda ls: ReducedWord.from_letters(spell(ls), rank))
 
 
 def elements(lamps, rank: int, max_len: int) -> st.SearchStrategy[WreathElement]:
