@@ -14,11 +14,9 @@ of ``cnd``'s eigenvalue, which can vary with the number of BLAS threads.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -196,7 +194,7 @@ def _cmd_proper(space: WreathWallSpace, args: argparse.Namespace) -> Result:
     report = space.sublevel_report(args.max_wall, radius)
     sublevel = [str(e) for e in report.sublevel]
     violations = [str(e) for e in report.violations]
-    payload = {f.name: getattr(report, f.name) for f in fields(report)}
+    payload = report._asdict()
     payload.update(sublevel=sublevel, violations=violations, sublevel_count=len(sublevel))
 
     def lines() -> Iterator[str]:
@@ -224,7 +222,7 @@ def _cmd_growth(space: WreathWallSpace, args: argparse.Namespace) -> Result:
         lines += (
             f"{r.radius:6d} {r.sphere_size:11d} {r.min_wall:8d} {r.max_wall:8d}" for r in rows
         )
-    return 0, [asdict(row) for row in rows], lines
+    return 0, [row._asdict() for row in rows], lines
 
 
 def _cmd_cnd(space: WreathWallSpace, args: argparse.Namespace) -> Result:
@@ -279,6 +277,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         code, payload, lines = args.run(_session(args), args)
         if args.fmt == "json":
+            import json
             print(json.dumps(payload, sort_keys=True))
         else:
             for line in lines:

@@ -14,8 +14,7 @@ numpy is imported only inside the functions that compute with arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .groups import WreathElement, predicted_ball_size, within_cap
 from .wreath_walls import WreathHalfSpace, WreathWallSpace, spanned_edge_series
@@ -85,8 +84,8 @@ def validate_distance_matrix(matrix: np.ndarray) -> None:
     triangle inequality.
 
     The triangle check is exact and visits every triple. An integer matrix
-    runs it in the narrowest of int16 and int32 that holds twice its largest
-    entry, the largest sum it forms; otherwise in its own dtype.
+    runs it in the narrowest of int8, int16 and int32 that holds twice its
+    largest entry, the largest sum it forms; otherwise in its own dtype.
     """
     import numpy as np
     matrix = np.asarray(matrix)
@@ -102,8 +101,8 @@ def validate_distance_matrix(matrix: np.ndarray) -> None:
         raise ValueError("distance matrix has negative entries")
     if np.issubdtype(matrix.dtype, np.integer):
         largest = 2 * int(matrix.max(initial=0))
-        narrow = next((t for t in (np.int16, np.int32) if largest <= np.iinfo(t).max), None)
-        matrix = matrix if narrow is None else matrix.astype(narrow)
+        fits = (t for t in (np.int8, np.int16, np.int32) if largest <= np.iinfo(t).max)
+        matrix = matrix.astype(next(fits, matrix.dtype), copy=False)
     for k in range(matrix.shape[0]):
         if np.any(matrix > matrix[:, k : k + 1] + matrix[k : k + 1, :]):
             raise ValueError(f"triangle inequality fails through index {k}")
@@ -159,8 +158,7 @@ def hamming_distances(coordinates: np.ndarray) -> np.ndarray:
     return ones[:, None] + ones[None, :] - 2 * (real @ real.T).astype(np.int64)
 
 
-@dataclass(frozen=True)
-class CndReport:
+class CndReport(NamedTuple):
     """Result of the conditional-negative-definiteness eigenvalue test."""
 
     passed: bool
@@ -210,8 +208,7 @@ def cnd_check(matrix: np.ndarray, tol: float = 1e-9) -> CndReport:
     )
 
 
-@dataclass(frozen=True)
-class GrowthRow:
+class GrowthRow(NamedTuple):
     """Wall-distance statistics over one word-metric sphere."""
 
     radius: int

@@ -19,7 +19,7 @@ function of its inputs, so values can be shared freely across threads.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 MAX_RANK = 26
@@ -70,6 +70,44 @@ def check_rank(rank: int) -> None:
         raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
 
 
+class Frozen:
+    """Base of the immutable value classes: fields in ``__slots__``, compared as a tuple.
+
+    A subclass validates in ``__init__`` and sets its slots with
+    ``object.__setattr__``. Instances are equal when of the same class with
+    equal fields, hash as the tuple of their fields in declaration order, and
+    raise ``AttributeError`` on assignment or deletion.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        # Closures over the class's field getter: a comparison or hash looks nothing up.
+        fields = cls._astuple = attrgetter(*cls.__slots__)
+
+        def __eq__(self: Frozen, other: object) -> bool:
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return fields(self) == fields(other)
+
+        def __hash__(self: Frozen) -> int:
+            return hash(fields(self))
+
+        cls.__eq__, cls.__hash__ = __eq__, __hash__
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"{self.__class__.__qualname__} is immutable: cannot set {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._astuple(self)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
 # ---------------------------------------------------------------------------
 # Free group words
 # ---------------------------------------------------------------------------
@@ -99,8 +137,7 @@ def free_reduce(letters: str) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True)
-class ReducedWord:
+class ReducedWord(Frozen):
     """A freely reduced word over the generators of F_n.
 
     ``letters`` is the printed string: ``a``, ``b``, ... for the generators
@@ -109,18 +146,19 @@ class ReducedWord:
     identity.
     """
 
-    letters: str
-    rank: int
+    __slots__ = ("letters", "rank")
 
-    def __post_init__(self) -> None:
-        check_rank(self.rank)
-        if not isinstance(self.letters, str):
-            raise TypeError(f"letters must be a str, got {self.letters!r}")
-        outside = self.letters.strip(_ALPHABET[: 2 * self.rank])
+    def __init__(self, letters: str, rank: int) -> None:
+        check_rank(rank)
+        if not isinstance(letters, str):
+            raise TypeError(f"letters must be a str, got {letters!r}")
+        outside = letters.strip(_ALPHABET[: 2 * rank])
         if outside:
-            raise ValueError(f"letter {outside[0]!r} outside rank {self.rank}")
-        if _CANCELLING.search(self.letters):
-            raise ValueError(f"word {self.letters!r} is not freely reduced")
+            raise ValueError(f"letter {outside[0]!r} outside rank {rank}")
+        if _CANCELLING.search(letters):
+            raise ValueError(f"word {letters!r} is not freely reduced")
+        object.__setattr__(self, "letters", letters)
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def identity(cls, rank: int) -> "ReducedWord":
@@ -328,8 +366,7 @@ class LampGroup:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LampConfig:
+class LampConfig(Frozen):
     """Finitely supported map position -> lamp id, identity values omitted.
 
     Entries are stored sorted by the shortlex order of their positions, so
@@ -337,25 +374,26 @@ class LampConfig:
     exactly the set of entry keys.
     """
 
-    entries: tuple[tuple[ReducedWord, int], ...]
-    lamps: LampGroup
-    rank: int
+    __slots__ = ("entries", "lamps", "rank")
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self, entries: tuple[tuple[ReducedWord, int], ...], lamps: LampGroup, rank: int
+    ) -> None:
         previous_key = None
-        for position, value in self.entries:
-            if position.rank != self.rank:
+        for position, value in entries:
+            if position.rank != rank:
                 raise ValueError(
-                    f"entry position {position} has rank {position.rank}, expected {self.rank}"
+                    f"entry position {position} has rank {position.rank}, expected {rank}"
                 )
-            if not 1 <= value < self.lamps.order:
-                raise ValueError(
-                    f"lamp value {value} outside 1..{self.lamps.order - 1} at {position}"
-                )
+            if not 1 <= value < lamps.order:
+                raise ValueError(f"lamp value {value} outside 1..{lamps.order - 1} at {position}")
             key = position.sort_key()
             if previous_key is not None and key <= previous_key:
                 raise ValueError("entries must be strictly shortlex-sorted by position")
             previous_key = key
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "lamps", lamps)
+        object.__setattr__(self, "rank", rank)
 
     @classmethod
     def empty(cls, lamps: LampGroup, rank: int) -> "LampConfig":
@@ -434,18 +472,16 @@ class LampConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class WreathElement:
+class WreathElement(Frozen):
     """An element (lamps, position) of the wreath product H wr F_n."""
 
-    lamps: LampConfig
-    position: ReducedWord
+    __slots__ = ("lamps", "position")
 
-    def __post_init__(self) -> None:
-        if self.lamps.rank != self.position.rank:
-            raise ValueError(
-                f"lamp rank {self.lamps.rank} differs from position rank {self.position.rank}"
-            )
+    def __init__(self, lamps: LampConfig, position: ReducedWord) -> None:
+        if lamps.rank != position.rank:
+            raise ValueError(f"lamp rank {lamps.rank} differs from position rank {position.rank}")
+        object.__setattr__(self, "lamps", lamps)
+        object.__setattr__(self, "position", position)
 
     @classmethod
     def identity(cls, lamps: LampGroup, rank: int) -> "WreathElement":

@@ -9,25 +9,23 @@ wall is its deep endpoint ``p``; the resulting wall distance is the word metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .groups import ReducedWord
+from .groups import Frozen, ReducedWord
 
 
-@dataclass(frozen=True)
-class TreeHalfSpace:
+class TreeHalfSpace(Frozen):
     """One of the two classes of the tree wall cut by the edge joining ``deep`` to its parent.
 
     With ``cone`` true it is the set of words with ``deep`` as a prefix (the
     CONE side), otherwise its complement (COCONE). The two sides partition F_n.
     """
 
-    deep: ReducedWord
-    cone: bool
+    __slots__ = ("deep", "cone")
 
-    def __post_init__(self) -> None:
-        if self.deep.is_identity:
+    def __init__(self, deep: ReducedWord, cone: bool) -> None:
+        if deep.is_identity:
             raise ValueError("a tree wall needs a nonempty deep endpoint")
+        object.__setattr__(self, "deep", deep)
+        object.__setattr__(self, "cone", cone)
 
     def contains(self, word: ReducedWord) -> bool:
         return word.starts_with(self.deep) == self.cone

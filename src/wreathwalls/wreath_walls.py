@@ -17,12 +17,12 @@ spanned-edge series, with the exhaustive box sweep as their oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .groups import (
     DEFAULT_CAP,
     CapExceededError,
+    Frozen,
     LampConfig,
     LampGroup,
     ReducedWord,
@@ -39,8 +39,7 @@ from .groups import (
 from .walls import TreeHalfSpace, spanned_edges, translate_half_space
 
 
-@dataclass(frozen=True)
-class WreathHalfSpace:
+class WreathHalfSpace(Frozen):
     """Half-space of H wr F_n: positions in ``base``, lamps outside equal to ``decoration``.
 
     The decoration must be supported in the complement of the base
@@ -51,15 +50,16 @@ class WreathHalfSpace:
     another, so (base, decoration) is a sound canonical identity for it.
     """
 
-    base: TreeHalfSpace
-    decoration: LampConfig
+    __slots__ = ("base", "decoration")
 
-    def __post_init__(self) -> None:
-        for position in self.decoration.support:
-            if self.base.contains(position):
+    def __init__(self, base: TreeHalfSpace, decoration: LampConfig) -> None:
+        for position in decoration.support:
+            if base.contains(position):
                 raise ValueError(
-                    f"decoration position {position} lies inside the base half-space {self.base}"
+                    f"decoration position {position} lies inside the base half-space {base}"
                 )
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "decoration", decoration)
 
     def contains(self, element: WreathElement) -> bool:
         if element.rank != self.decoration.rank:
@@ -78,8 +78,7 @@ class WreathHalfSpace:
         return f"E({self.base}, {self.decoration})"
 
 
-@dataclass(frozen=True)
-class SublevelReport:
+class SublevelReport(NamedTuple):
     """Outcome of the sub-level properness check at wall distance ``max_wall``.
 
     ``sublevel`` is the full set of elements at wall distance at most

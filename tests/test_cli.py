@@ -366,7 +366,7 @@ class TestCndCommand:
     def test_counts_walls_without_building_them(self, capsys, tmp_path, monkeypatch):
         from wreathwalls.wreath_walls import WreathHalfSpace
 
-        monkeypatch.setattr(WreathHalfSpace, "__post_init__", forbidden)
+        monkeypatch.setattr(WreathHalfSpace, "__init__", forbidden)
         sample = tmp_path / "sample.txt"
         sample.write_text("{}|1\n{}|a\n{}|ab\n{a:1}|a\n")
         code, out, _ = run(capsys, "--format", "json", "cnd", "--sample", str(sample))
@@ -762,19 +762,20 @@ class TestModuleEntryPoint:
         assert stderr == b""
 
 
-# Runs main(argv) in a fresh interpreter, then reports its exit code and whether numpy is loaded.
-NUMPY_PROBE = """
+# Runs main(argv) in a fresh interpreter, then reports its exit code and whether numpy,
+# dataclasses and json are loaded.
+IMPORT_PROBE = """
 import sys
 from wreathwalls.cli import main
 code = main(sys.argv[1:])
-print(code, "numpy" in sys.modules, file=sys.stderr)
+print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "json")), file=sys.stderr)
 """
 
 
-def probe_numpy(*argv):
-    """The probe's last stderr line for ``argv``: exit code and whether numpy got loaded."""
+def probe_imports(*argv):
+    """The probe's last stderr line for ``argv``: exit code, then numpy, dataclasses, json loaded."""
     result = subprocess.run(
-        [sys.executable, "-c", NUMPY_PROBE, *argv],
+        [sys.executable, "-c", IMPORT_PROBE, *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -783,24 +784,28 @@ def probe_numpy(*argv):
     return result.stderr.splitlines()[-1]
 
 
+NUMPY_FREE = [
+    ["mul", "{a:1}|a", "{}|b"],
+    ["inv", "{a:1}|a"],
+    ["dist", "{}|1", "{a:1}|ab"],
+    ["dist", "--oracle", "{}|1", "{a:1}|ab"],
+    ["walls", "{}|1", "{a:1}|ab"],
+    ["--rank", "1", "proper", "--max-wall", "1"],
+    ["growth", "--radius", "3"],
+]
+
+
 class TestNumpyLoading:
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["mul", "{a:1}|a", "{}|b"],
-            ["inv", "{a:1}|a"],
-            ["dist", "{}|1", "{a:1}|ab"],
-            ["dist", "--oracle", "{}|1", "{a:1}|ab"],
-            ["walls", "{}|1", "{a:1}|ab"],
-            ["--rank", "1", "proper", "--max-wall", "1"],
-            ["growth", "--radius", "3"],
-        ],
-        ids=" ".join,
-    )
+    @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
     def test_numpy_free_commands_never_import_numpy(self, argv):
-        assert probe_numpy(*argv) == "0 False"
+        # Nor dataclasses, nor json in text format.
+        assert probe_imports(*argv) == "0 False False False"
+
+    @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
+    def test_json_format_imports_json_but_not_numpy_or_dataclasses(self, argv):
+        assert probe_imports("--format", "json", *argv) == "0 False False True"
 
     def test_cnd_imports_numpy(self, tmp_path):
         sample = tmp_path / "sample.txt"
         sample.write_text("{}|1\n{}|a\n{a:1}|ab\n")
-        assert probe_numpy("cnd", "--sample", str(sample)) == "0 True"
+        assert probe_imports("cnd", "--sample", str(sample)).split()[:2] == ["0", "True"]

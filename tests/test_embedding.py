@@ -78,16 +78,37 @@ class TestDistanceMatrix:
             with pytest.raises(ValueError, match="non-finite"):
                 validate_distance_matrix(np.array([[0, bad], [bad, 0]]))
 
-    @pytest.mark.parametrize("big", [2**14 - 1, 2**14, 2**30 - 1, 2**30])
+    @pytest.mark.parametrize("big", [2**6 - 1, 2**6, 2**14 - 1, 2**14, 2**30 - 1, 2**30])
     def test_triangle_check_on_each_side_of_the_narrow_dtypes(self, big):
-        # Twice 2**14 (2**30) is one past the int16 (int32) maximum: a sum the
-        # check forms there needs the next wider dtype.
+        # Twice 2**6 (2**14, 2**30) is one past the int8 (int16, int32) maximum:
+        # a sum the check forms there needs the next wider dtype.
         equilateral = big * (1 - np.eye(3, dtype=np.int64))
         broken = np.array([[0, big, 1], [big, 0, big - 2], [1, big - 2, 0]])
         for dtype in (np.int64, np.float64):
             validate_distance_matrix(equilateral.astype(dtype))
             with pytest.raises(ValueError, match="triangle inequality fails through index 2"):
                 validate_distance_matrix(broken.astype(dtype))
+
+    @pytest.mark.parametrize("largest", [63, 64])
+    def test_triangle_check_matches_the_int64_loop_across_int8(self, largest):
+        # Twice 63 fits int8 and twice 64 does not; the verdict and the first
+        # failing index must match the loop run in int64.
+        rng = np.random.default_rng(largest)
+        verdicts = set()
+        for _ in range(40):
+            upper = np.triu(rng.integers(largest // 2 - 2, largest + 1, size=(10, 10)), 1)
+            matrix = upper + upper.T
+            matrix[0, 1] = matrix[1, 0] = largest
+            failing = [
+                k for k in range(10) if np.any(matrix > matrix[:, k : k + 1] + matrix[k : k + 1, :])
+            ]
+            verdicts.add(bool(failing))
+            if not failing:
+                validate_distance_matrix(matrix)
+                continue
+            with pytest.raises(ValueError, match=f"through index {failing[0]}$"):
+                validate_distance_matrix(matrix)
+        assert verdicts == {False, True}
 
     def test_node_sum_equals_pairwise_loop_on_the_seeded_sample(self):
         # The first 150 elements of the seeded n = 1000 certification sample.
@@ -154,13 +175,13 @@ class TestWallCoordinates:
 
     def test_each_wall_is_built_once(self, monkeypatch):
         builds = []
-        check = WreathHalfSpace.__post_init__
+        check = WreathHalfSpace.__init__
 
-        def counted(half):
+        def counted(half, *fields):
             builds.append(half)
-            check(half)
+            check(half, *fields)
 
-        monkeypatch.setattr(WreathHalfSpace, "__post_init__", counted)
+        monkeypatch.setattr(WreathHalfSpace, "__init__", counted)
         sp = WreathWallSpace(z3(), 2)
         elements = sample(
             ["{}|1", "{a:2}|b", "{1:1,B:2}|ab", "{b:1}|A", "{a:1,ab:2}|aB", "{}|bb"], lamps=z3()
