@@ -7,80 +7,56 @@ boxes, and certifies at finite scale that the wall kernel embeds
 squared-distance-isometrically into Hilbert space.
 """
 
-from .embedding import (
-    CndReport,
-    GrowthRow,
-    cnd_check,
-    distance_matrix,
-    growth_table,
-    hamming_distances,
-    validate_distance_matrix,
-    validate_sample,
-    wall_coordinates,
-)
-from .grammar import (
-    ParseError,
-    load_lamp_table,
-    load_sample_file,
-    parse_config,
-    parse_element,
-    parse_lamp_table,
-    parse_sample_text,
-    parse_word,
-)
-from .groups import (
-    DEFAULT_CAP,
-    MAX_RANK,
-    CapExceededError,
-    LampConfig,
-    LampGroup,
-    ReducedWord,
-    WreathElement,
-    free_ball,
-    free_reduce,
-    predicted_ball_size,
-)
-from .walls import (
-    TreeHalfSpace,
-    separating_tree_walls,
-    translate_half_space,
-)
-from .wreath_walls import SublevelReport, WreathHalfSpace, WreathWallSpace
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CapExceededError",
-    "CndReport",
-    "DEFAULT_CAP",
-    "GrowthRow",
-    "LampConfig",
-    "LampGroup",
-    "MAX_RANK",
-    "ParseError",
-    "ReducedWord",
-    "SublevelReport",
-    "TreeHalfSpace",
-    "WreathElement",
-    "WreathHalfSpace",
-    "WreathWallSpace",
-    "cnd_check",
-    "distance_matrix",
-    "free_ball",
-    "free_reduce",
-    "growth_table",
-    "hamming_distances",
-    "load_lamp_table",
-    "load_sample_file",
-    "parse_config",
-    "parse_element",
-    "parse_lamp_table",
-    "parse_sample_text",
-    "parse_word",
-    "predicted_ball_size",
-    "separating_tree_walls",
-    "translate_half_space",
-    "validate_distance_matrix",
-    "validate_sample",
-    "wall_coordinates",
-]
+# Each exported name and the submodule that defines it, imported on first access (PEP 562).
+_EXPORTS = {
+    "CapExceededError": "groups",
+    "CndReport": "embedding",
+    "DEFAULT_CAP": "groups",
+    "GrowthRow": "embedding",
+    "LampConfig": "groups",
+    "LampGroup": "groups",
+    "MAX_RANK": "groups",
+    "ParseError": "grammar",
+    "ReducedWord": "groups",
+    "SublevelReport": "wreath_walls",
+    "TreeHalfSpace": "walls",
+    "WreathElement": "groups",
+    "WreathHalfSpace": "wreath_walls",
+    "WreathWallSpace": "wreath_walls",
+    "cnd_check": "embedding",
+    "distance_matrix": "embedding",
+    "free_ball": "groups",
+    "free_reduce": "groups",
+    "growth_table": "embedding",
+    "hamming_distances": "embedding",
+    "load_lamp_table": "grammar",
+    "load_sample_file": "grammar",
+    "parse_config": "grammar",
+    "parse_element": "grammar",
+    "parse_lamp_table": "grammar",
+    "parse_sample_text": "grammar",
+    "parse_word": "grammar",
+    "predicted_ball_size": "groups",
+    "separating_tree_walls": "walls",
+    "translate_half_space": "walls",
+    "validate_distance_matrix": "embedding",
+    "validate_sample": "embedding",
+    "wall_coordinates": "embedding",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str) -> object:
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_EXPORTS[name]}", __name__), name)
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

@@ -20,17 +20,15 @@ from collections.abc import Iterable, Iterator
 from functools import partial
 from pathlib import Path
 
-from .embedding import (
-    check_tolerance,
-    cnd_check,
-    coordinates_csv,
-    distance_matrix,
-    growth_table,
-    hamming_distances,
-    wall_coordinates,
-)
 from .grammar import ParseError, load_lamp_table, load_sample_file, parse_element, parse_int
-from .groups import DEFAULT_CAP, CapExceededError, LampGroup, WreathElement, check_table_order
+from .groups import (
+    DEFAULT_CAP,
+    CapExceededError,
+    LampGroup,
+    WreathElement,
+    check_table_order,
+    check_tolerance,
+)
 from .wreath_walls import WreathHalfSpace, WreathWallSpace
 
 # What a command returns: exit code, the ``--format json`` payload, and the text lines.
@@ -213,6 +211,8 @@ def _cmd_proper(space: WreathWallSpace, args: argparse.Namespace) -> Result:
 
 
 def _cmd_growth(space: WreathWallSpace, args: argparse.Namespace) -> Result:
+    from .embedding import growth_table
+
     rows = growth_table(space, args.radius)
     if args.fmt == "csv":
         lines = ["radius,sphere_size,min_wall,max_wall"]
@@ -226,6 +226,8 @@ def _cmd_growth(space: WreathWallSpace, args: argparse.Namespace) -> Result:
 
 
 def _cmd_cnd(space: WreathWallSpace, args: argparse.Namespace) -> Result:
+    from .embedding import cnd_check, distance_matrix
+
     elements = load_sample_file(args.sample, space.lamps, space.rank)
     matrix = distance_matrix(space, elements)
     wall_count = space.separating_wall_count(*elements)
@@ -248,6 +250,8 @@ def _write_lines(path: Path, lines: Iterable) -> None:
 
 
 def _cmd_embed(space: WreathWallSpace, args: argparse.Namespace) -> Result:
+    from .embedding import coordinates_csv, distance_matrix, hamming_distances, wall_coordinates
+
     elements = load_sample_file(args.sample, space.lamps, space.rank)
     matrix = distance_matrix(space, elements)
     walls, coordinates = wall_coordinates(space, elements)

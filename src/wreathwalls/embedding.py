@@ -13,10 +13,9 @@ numpy is imported only inside the functions that compute with arrays.
 
 from __future__ import annotations
 
-import math
 from typing import TYPE_CHECKING, NamedTuple
 
-from .groups import WreathElement, predicted_ball_size, within_cap
+from .groups import WreathElement, check_tolerance, predicted_ball_size, within_cap
 from .wreath_walls import WreathHalfSpace, WreathWallSpace, spanned_edge_series
 
 if TYPE_CHECKING:
@@ -165,12 +164,6 @@ class CndReport(NamedTuple):
     min_eigenvalue: float
     dimension: int
     tolerance: float
-
-
-def check_tolerance(tol: float) -> None:
-    """Reject an eigenvalue tolerance that is not finite and positive (NaN included)."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
 def cnd_check(matrix: np.ndarray, tol: float = 1e-9) -> CndReport:

@@ -18,6 +18,7 @@ function of its inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
+import math
 import re
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -62,6 +63,12 @@ def check_table_order(order: int, cap: int) -> None:
     """Refuse a lamp table whose order**3 associativity checks would exceed ``cap``."""
     if order >= 2:
         within_cap(order**3, cap, f"lamp table check of order {order}")
+
+
+def check_tolerance(tol: float) -> None:
+    """Reject an eigenvalue tolerance that is not finite and positive (NaN included)."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
 def check_rank(rank: int) -> None:
@@ -249,10 +256,12 @@ def tree_children(letters: str, rank: int) -> list[str]:
 
 
 def _ball_levels(rank: int, radius: int) -> Iterator[str]:
+    # The letters that may follow each last letter ("" for the identity), in shortlex order.
+    after = {x: [w[-1] for w in tree_children(x, rank)] for x in ["", *_ALPHABET[: 2 * rank]]}
     level = [""]
     yield ""
     for _ in range(radius):
-        level = [child for letters in level for child in tree_children(letters, rank)]
+        level = [word + y for word in level for y in after[word[-1:]]]
         yield from level
 
 

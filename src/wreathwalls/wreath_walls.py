@@ -216,11 +216,11 @@ class WreathWallSpace:
         in canonical order.
         """
         index = list(range(len(elements)))  # one int object per element, shared by every wall
+        everyone = set(index)
         walls = []
         for edge, members, in_cone in self._keyed_edges(elements):
             if len(in_cone) < len(index):
-                cone = set(in_cone)
-                members[(False, ())] = [i for i in index if i not in cone]
+                members[(False, ())] = sorted(everyone.difference(in_cone))
             for (inside, beyond), rows in members.items():
                 base = TreeHalfSpace(edge, inside)
                 decoration = LampConfig(beyond, self.lamps, self.rank)
@@ -300,11 +300,14 @@ class WreathWallSpace:
         ``deep`` when ``deep`` is a prefix of it. One prefix table maps each
         prefix of a word occurring in a or b (a position or lamp site) to the
         occurring words that start with it; a ball word missing from it has
-        an empty cone. Every ball word is still visited, as a letter string,
-        but what its edge keeps depends only on its cone, so each distinct
-        cone is evaluated once. A kept wall is built as a
-        :class:`WreathHalfSpace`, its deep endpoint the only word made from
-        the ball, and confirmed through :meth:`WreathHalfSpace.contains`.
+        an empty cone. What an edge keeps depends only on its cone, so the
+        walls kept on each distinct cone, the empty one included, are found
+        once before the walk. Every ball word is still visited, as a letter
+        string, and looks its walls up in the prefix table; where the empty
+        cone keeps none, a word outside the table costs one membership test. A
+        kept wall is built as a :class:`WreathHalfSpace`, its deep endpoint the
+        only word made from the ball, and confirmed through
+        :meth:`WreathHalfSpace.contains`.
 
         With ``decoration_sweep`` every decoration supported in the ball
         beyond each edge is tried instead of just the two restrictions, and
@@ -358,13 +361,13 @@ class WreathWallSpace:
                         walls.append((inside, decoration, in_a, in_b))
             return walls
 
-        by_cone: dict[frozenset[str], list] = {}
-        for letters in itertools.islice(ball_letters(self.rank, radius, self.cap), 1, None):
-            cone = cones.get(letters, no_cone)
-            walls = by_cone.get(cone)
-            if walls is None:
-                walls = by_cone[cone] = kept(cone)
-            for inside, decoration, in_a, in_b in walls:
+        words = itertools.islice(ball_letters(self.rank, radius, self.cap), 1, None)
+        by_cone = {cone: kept(cone) for cone in {no_cone, *cones.values()}}
+        walls_at = {prefix: by_cone[cone] for prefix, cone in cones.items()}
+        outside = by_cone[no_cone]  # the walls on each word outside the table
+        hits = words if outside else [w for w in words if w in walls_at]
+        for letters in hits:
+            for inside, decoration, in_a, in_b in walls_at.get(letters, outside):
                 base = TreeHalfSpace(ReducedWord(letters, self.rank), inside)
                 half = WreathHalfSpace(base, LampConfig(decoration, self.lamps, self.rank))
                 if half.contains(a) != in_a or half.contains(b) != in_b:

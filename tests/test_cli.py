@@ -130,6 +130,22 @@ class TestDistCommand:
         assert "only in brute force: E(COCONE(a), {})" in err
         assert "only in fast enumeration" not in err
 
+    def test_oracle_that_skips_a_ball_word_mismatches(self, capsys, monkeypatch):
+        from wreathwalls import wreath_walls
+
+        ball_letters = wreath_walls.ball_letters
+        monkeypatch.setattr(
+            wreath_walls,
+            "ball_letters",
+            lambda *args: (w for w in ball_letters(*args) if w != "ab"),
+        )
+        code, out, err = run(capsys, "dist", "--oracle", "{}|1", "{a:1}|ab")
+        assert (code, out) == (1, "4\n")
+        assert {line.strip() for line in err.splitlines() if "only in" in line} == {
+            "only in fast enumeration: E(COCONE(ab), {})",
+            "only in fast enumeration: E(CONE(ab), {a:1})",
+        }
+
     def test_non_default_lamp_order(self, capsys):
         code, out, _ = run(capsys, "--lamp-order", "3", "dist", "{a:2}|1", "{}|1")
         assert (code, out) == (0, "2\n")
@@ -306,10 +322,10 @@ class TestCndCommand:
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_failing_kernel_exits_one(self, capsys, tmp_path, monkeypatch, fmt):
-        import wreathwalls.cli as cli
+        from wreathwalls import embedding
 
         monkeypatch.setattr(
-            cli,
+            embedding,
             "cnd_check",
             lambda matrix, tol: CndReport(False, -1.0, matrix.shape[0], tol),
         )
@@ -763,17 +779,18 @@ class TestModuleEntryPoint:
 
 
 # Runs main(argv) in a fresh interpreter, then reports its exit code and whether numpy,
-# dataclasses and json are loaded.
+# dataclasses, json and the package's embedding module are loaded.
 IMPORT_PROBE = """
 import sys
 from wreathwalls.cli import main
 code = main(sys.argv[1:])
-print(code, *(name in sys.modules for name in ("numpy", "dataclasses", "json")), file=sys.stderr)
+loaded = ("numpy", "dataclasses", "json", "wreathwalls.embedding")
+print(code, *(name in sys.modules for name in loaded), file=sys.stderr)
 """
 
 
 def probe_imports(*argv):
-    """The probe's last stderr line for ``argv``: exit code, then numpy, dataclasses, json loaded."""
+    """The probe's last stderr line for ``argv``: exit code, then each module's loaded flag."""
     result = subprocess.run(
         [sys.executable, "-c", IMPORT_PROBE, *argv],
         capture_output=True,
@@ -795,17 +812,113 @@ NUMPY_FREE = [
 ]
 
 
+def loads_embedding(argv):
+    """Only ``growth`` of the numpy-free commands runs code from ``embedding``."""
+    return "growth" in argv
+
+
 class TestNumpyLoading:
     @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
     def test_numpy_free_commands_never_import_numpy(self, argv):
-        # Nor dataclasses, nor json in text format.
-        assert probe_imports(*argv) == "0 False False False"
+        # Nor dataclasses, nor json in text format, nor embedding unless the command runs it.
+        assert probe_imports(*argv) == f"0 False False False {loads_embedding(argv)}"
 
     @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
     def test_json_format_imports_json_but_not_numpy_or_dataclasses(self, argv):
-        assert probe_imports("--format", "json", *argv) == "0 False False True"
+        expected = f"0 False False True {loads_embedding(argv)}"
+        assert probe_imports("--format", "json", *argv) == expected
 
     def test_cnd_imports_numpy(self, tmp_path):
         sample = tmp_path / "sample.txt"
         sample.write_text("{}|1\n{}|a\n{a:1}|ab\n")
         assert probe_imports("cnd", "--sample", str(sample)).split()[:2] == ["0", "True"]
+
+
+class TestPackageImport:
+    def run_child(self, code):
+        result = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+        return result.stdout
+
+    def test_importing_the_package_loads_no_submodule(self):
+        code = "import sys, wreathwalls\nprint(sorted(m for m in sys.modules if 'walls' in m))"
+        assert self.run_child(code) == "['wreathwalls']\n"
+
+    def test_star_import_binds_every_exported_name(self):
+        # dir() before any name is resolved; the star import resolves each through its module.
+        code = """
+import wreathwalls
+listed = dir(wreathwalls)
+namespace = {}
+exec("from wreathwalls import *", namespace)
+for name in wreathwalls.__all__:
+    assert name in listed and name in namespace, name
+    assert getattr(wreathwalls, name) is namespace[name], name
+print(len(wreathwalls.__all__))
+"""
+        assert self.run_child(code) == "33\n"
+
+    def test_unknown_attribute_raises(self):
+        import wreathwalls
+
+        with pytest.raises(AttributeError, match="no attribute 'nonexistent'"):
+            wreathwalls.nonexistent
+
+
+# Registers an atexit handler that writes a last stdout line, then runs the package as
+# ``__main__``, after breaking the oracle when the first argument says so.
+MAIN_PROBE = """
+import atexit, runpy, sys
+atexit.register(print, "atexit handler ran")
+if sys.argv.pop(1) == "break-oracle":
+    from wreathwalls.wreath_walls import WreathWallSpace
+    WreathWallSpace.brute_force_separating = lambda *args: ()
+runpy.run_module("wreathwalls", run_name="__main__", alter_sys=True)
+"""
+
+
+class TestShutdown:
+    def run_main(self, *argv):
+        return subprocess.run(
+            [sys.executable, "-c", MAIN_PROBE, *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+
+    def test_output_is_complete_and_atexit_handlers_run(self, capsys):
+        argv = ["--rank", "2", "proper", "--max-wall", "6"]
+        _, expected, _ = run(capsys, *argv)
+        result = self.run_main("keep", *argv)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout == expected + "atexit handler ran\n"
+        assert len(expected.splitlines()) > 1000
+
+    def test_failed_check_exits_one(self):
+        result = self.run_main("break-oracle", "dist", "--oracle", "{}|1", "{}|a")
+        assert result.returncode == 1
+        assert result.stdout == "2\natexit handler ran\n"
+        assert "oracle mismatch" in result.stderr
+
+    @pytest.mark.parametrize(
+        "argv, code, out",
+        [(["dist", "{}|1", "{}|ab"], 0, "4\n"), (["dist", "{}|1", "{}|z"], 2, "")],
+        ids=["success", "input-error"],
+    )
+    def test_exit_code_passes_through_python_dash_m(self, argv, code, out):
+        result = subprocess.run(
+            [sys.executable, "-m", "wreathwalls", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert (result.returncode, result.stdout) == (code, out)
+        assert result.stderr.startswith("error: ") == (code == 2)

@@ -273,6 +273,23 @@ class TestWallDistance:
         for (a, b), walls in zip(pairs, expected):
             assert sp.brute_force_separating(a, b, sp.oracle_radius(a, b)) == walls
 
+    def test_oracle_finds_walls_only_on_the_ball_words_it_visits(self, monkeypatch):
+        # ``ab`` is in the prefix table (a prefix of the position), so a walk over
+        # the table instead of the ball would still find the two walls at ``ab``.
+        sp = space()
+        a, b = elem("{}|1"), elem("{a:1}|ab")
+        radius = sp.oracle_radius(a, b)
+        full = set(sp.brute_force_separating(a, b, radius))
+        ball_letters = wreath_walls_module.ball_letters
+        monkeypatch.setattr(
+            wreath_walls_module,
+            "ball_letters",
+            lambda *args: (w for w in ball_letters(*args) if w != "ab"),
+        )
+        missed = full - set(sp.brute_force_separating(a, b, radius))
+        assert missed == {half(False, "ab", []), half(True, "ab", [("a", 1)])}
+        assert len(full) == sp.wall_distance(a, b) == 4
+
     def test_oracle_confirms_each_wall_through_contains(self, monkeypatch):
         sp = space()
         a, b = elem("{}|1"), elem("{a:1}|ab")
