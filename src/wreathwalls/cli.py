@@ -226,10 +226,11 @@ def _cmd_growth(space: WreathWallSpace, args: argparse.Namespace) -> Result:
 
 
 def _cmd_cnd(space: WreathWallSpace, args: argparse.Namespace) -> Result:
-    from .embedding import cnd_check, distance_matrix
+    from .embedding import cnd_check, distance_matrix, validate_distance_matrix
 
     elements = load_sample_file(args.sample, space.lamps, space.rank)
     matrix = distance_matrix(space, elements)
+    validate_distance_matrix(matrix)
     wall_count = space.separating_wall_count(*elements)
     report = cnd_check(matrix, args.tol)
     payload = {
@@ -261,6 +262,7 @@ def _cmd_embed(space: WreathWallSpace, args: argparse.Namespace) -> Result:
     _write_lines(out / "walls.txt", walls)
     _write_lines(out / "distances.csv", (",".join(map(str, row.tolist())) for row in matrix))
     (out / "coordinates.csv").write_bytes(coordinates_csv(coordinates))
+    # Hamming distances are a pseudometric: equality validates the matrix (else exit 1).
     isometry_ok = bool((hamming_distances(coordinates) == matrix).all())
     payload = {
         "dimension": len(elements),

@@ -3,11 +3,11 @@
 Walls give squared-distance-isometric coordinates for free: index one 0/1
 coordinate per wall, set it to membership in the wall's positive half, and
 the Hamming distance between coordinate rows equals the wall distance
-exactly. Consequently every wall distance matrix is conditionally negative
-definite, which is the finite-sample shadow of a proper isometric action on
-a Hilbert space. This module computes the coordinates, checks the isometry,
-tests conditional negative definiteness by eigenvalue, and tabulates how the
-wall distance grows along word-metric spheres of the wreath product.
+exactly. So every wall distance matrix is a pseudometric and conditionally
+negative definite, the finite-sample shadow of a proper isometric action on
+a Hilbert space. This module computes distances and coordinates, validates a
+pseudometric, tests conditional negative definiteness by eigenvalue, and
+tabulates how the wall distance grows along word-metric spheres.
 numpy is imported only inside the functions that compute with arrays.
 """
 
@@ -34,7 +34,7 @@ def validate_sample(elements: list[WreathElement]) -> None:
 
 
 def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np.ndarray:
-    """Matrix of pairwise wall distances; symmetric with zero diagonal.
+    """Matrix of pairwise wall distances, not validated (see :func:`validate_distance_matrix`).
 
     Summed over tree nodes, not over pairs. For two elements let ``S`` be
     their positions and the sites where their lamps differ; half their wall
@@ -74,8 +74,18 @@ def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np
     matrix += 2 * occupied[:, None]
     matrix += 2 * occupied[None, :]
     np.fill_diagonal(matrix, 0)
-    validate_distance_matrix(matrix)
     return matrix
+
+
+def _check_symmetric(matrix: np.ndarray, what: str) -> None:
+    """Raise unless ``matrix``, named ``what`` in the message, is square, finite and symmetric."""
+    import numpy as np
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise ValueError(f"{what} has non-finite entries")
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError(f"{what} is not symmetric")
 
 
 def validate_distance_matrix(matrix: np.ndarray) -> None:
@@ -88,12 +98,7 @@ def validate_distance_matrix(matrix: np.ndarray) -> None:
     """
     import numpy as np
     matrix = np.asarray(matrix)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"distance matrix must be square, got shape {matrix.shape}")
-    if not np.isfinite(matrix).all():
-        raise ValueError("distance matrix has non-finite entries")
-    if not np.array_equal(matrix, matrix.T):
-        raise ValueError("distance matrix is not symmetric")
+    _check_symmetric(matrix, "distance matrix")
     if np.any(np.diag(matrix) != 0):
         raise ValueError("distance matrix has nonzero diagonal entries")
     if np.any(matrix < 0):
@@ -178,14 +183,9 @@ def cnd_check(matrix: np.ndarray, tol: float = 1e-9) -> CndReport:
     import numpy as np
     check_tolerance(tol)
     matrix = np.asarray(matrix, dtype=np.float64)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"kernel matrix must be square, got shape {matrix.shape}")
+    _check_symmetric(matrix, "kernel matrix")
     if matrix.size == 0:
         raise ValueError("kernel matrix must be nonempty")
-    if not np.isfinite(matrix).all():
-        raise ValueError("kernel matrix has non-finite entries")
-    if not np.array_equal(matrix, matrix.T):
-        raise ValueError("kernel matrix is not symmetric")
     if np.any(matrix < 0):
         raise ValueError("kernel matrix has negative entries")
     n = matrix.shape[0]

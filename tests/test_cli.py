@@ -47,6 +47,29 @@ def forbidden(*args, **kwargs):
     raise AssertionError("this path must not be taken")
 
 
+def break_triangle(matrix):
+    """On the sample ``{}|1, {}|a, {}|ab``: d(0, 2) = 10 > d(0, 1) + d(1, 2) = 4, both ways."""
+    matrix[0, 2] = matrix[2, 0] = 10
+
+
+def break_one_lower_entry(matrix):
+    matrix[2, 0] += 2
+
+
+def damage_distance_matrix(monkeypatch, damage):
+    """Make ``embedding.distance_matrix`` apply ``damage`` to each matrix it returns."""
+    from wreathwalls import embedding
+
+    original = embedding.distance_matrix
+
+    def damaged(space, elements):
+        matrix = original(space, elements)
+        damage(matrix)
+        return matrix
+
+    monkeypatch.setattr(embedding, "distance_matrix", damaged)
+
+
 def assert_refused_within_five_seconds(argv):
     result = subprocess.run(
         [sys.executable, "-m", "wreathwalls", *argv],
@@ -379,6 +402,14 @@ class TestCndCommand:
         assert (code, out) == (2, "")
         assert "tolerance" in err
 
+    def test_broken_triangle_inequality_exits_two(self, capsys, tmp_path, monkeypatch):
+        damage_distance_matrix(monkeypatch, break_triangle)
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{}|1\n{}|a\n{}|ab\n")
+        code, out, err = run(capsys, "cnd", "--sample", str(sample))
+        assert (code, out) == (2, "")
+        assert "triangle inequality fails through index" in err
+
     def test_counts_walls_without_building_them(self, capsys, tmp_path, monkeypatch):
         from wreathwalls.wreath_walls import WreathHalfSpace
 
@@ -413,6 +444,23 @@ class TestEmbedCommand:
         coords = (out_dir / "coordinates.csv").read_text().splitlines()
         assert len(coords) == 3
         assert all(set(row) <= {"0", "1", ","} for row in coords)
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("damage", [break_triangle, break_one_lower_entry])
+    def test_broken_distance_matrix_fails_the_isometry_check(
+        self, capsys, tmp_path, monkeypatch, damage, fmt
+    ):
+        # embed runs no separate validation: the Hamming identity is its check.
+        damage_distance_matrix(monkeypatch, damage)
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{}|1\n{}|a\n{}|ab\n")
+        argv = ("--format", fmt, "embed", "--sample", str(sample), "--out", str(tmp_path / "out"))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (1, "")
+        if fmt == "json":
+            assert json.loads(out)["isometry_ok"] is False
+        else:
+            assert "isometry self-check FAILED" in out
 
     def test_json_reports_isometry(self, capsys, tmp_path):
         sample = tmp_path / "sample.txt"
@@ -883,6 +931,22 @@ runpy.run_module("wreathwalls", run_name="__main__", alter_sys=True)
 """
 
 
+# Runs the package as ``__main__`` with an atexit handler that prints on stderr whether the
+# cyclic collector is on and the heap frozen, then unfreezes it and prints how many
+# unreachable objects a collection finds.
+GARBAGE_PROBE = """
+import atexit, gc, runpy, sys
+
+def report():
+    frozen = gc.get_freeze_count() > 0
+    gc.unfreeze()
+    print(gc.isenabled(), frozen, gc.collect(), file=sys.stderr)
+
+atexit.register(report)
+runpy.run_module("wreathwalls", run_name="__main__", alter_sys=True)
+"""
+
+
 class TestShutdown:
     def run_main(self, *argv):
         return subprocess.run(
@@ -906,6 +970,23 @@ class TestShutdown:
         assert result.returncode == 1
         assert result.stdout == "2\natexit handler ran\n"
         assert "oracle mismatch" in result.stderr
+
+    def test_collector_is_off_the_heap_frozen_and_cyclic_garbage_constant(self):
+        # 278 elements against 30,864: the cycles left are the argument parser's, so a
+        # process without the collector holds no more memory for more work.
+        results = [
+            subprocess.run(
+                [sys.executable, "-c", GARBAGE_PROBE, "proper", *argv],
+                capture_output=True,
+                text=True,
+                timeout=60,
+                env=child_env(),
+            )
+            for argv in (["--max-wall", "4"], ["--max-wall", "8", "--radius", "8"])
+        ]
+        assert [result.returncode for result in results] == [0, 0]
+        assert results[0].stderr.startswith("False True ")
+        assert results[0].stderr == results[1].stderr
 
     @pytest.mark.parametrize(
         "argv, code, out",

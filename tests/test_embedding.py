@@ -219,6 +219,40 @@ class TestWallCoordinates:
             hamming_distances(wide)
 
 
+class TestWallBalls:
+    """Whole wall balls ``B(1, N)``: by left-invariance every finite set of wall diameter at
+    most ``N`` is isometric to a subset of ``B(1, N)``, so what holds on the ball holds there."""
+
+    @pytest.mark.parametrize(
+        "lamps, rank, level, size", [(z2, 2, 4, 278), (z3, 1, 6, 1053)], ids=["z2-2-4", "z3-1-6"]
+    )
+    def test_ball_is_a_cnd_pseudometric_equal_to_its_hamming_distances(
+        self, lamps, rank, level, size
+    ):
+        sp = WreathWallSpace(lamps(), rank, cap=10**7)
+        ball = sp.sublevel(level)
+        assert len(ball) == size
+        matrix = distance_matrix(sp, ball)
+        validate_distance_matrix(matrix)
+        assert cnd_check(matrix).passed
+        _, coords = wall_coordinates(sp, ball)
+        assert np.array_equal(hamming_distances(coords), matrix)
+
+    def test_left_translates_of_a_ball_have_its_distances(self):
+        # Rank 2, N = 4: each generator s (and the lamp move) maps B(1, 2) into B(1, 4),
+        # and the distance matrix of s·B(1, 2) equals that of B(1, 2) entry for entry.
+        sp = WreathWallSpace(z2(), 2)
+        ball = sp.sublevel(2)
+        outer = set(sp.sublevel(4))
+        matrix = distance_matrix(sp, ball)
+        generators = _standard_generators(sp)
+        assert len(generators) == 5
+        for s in generators:
+            translate = [s * x for x in ball]
+            assert set(translate) <= outer
+            assert np.array_equal(distance_matrix(sp, translate), matrix)
+
+
 class TestCndCheck:
     def test_boundary_metric_passes(self):
         # Squared distances of collinear points 0, 1, 2: the zero-sum vector
