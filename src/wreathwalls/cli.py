@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Every command works over one session: the wall space of the free-group rank,
-the lamp group (cyclic order or explicit table file) and an enumeration cap.
+Every command works over one session: the free-group rank, the lamp group
+(cyclic order or explicit table file) and an enumeration cap. Only a command
+that parses imports ``grammar``, and only one that uses walls ``wreath_walls``.
 It reads the output format and eigenvalue tolerance from its arguments.
 Results go to stdout, errors to stderr. Exit codes: 0 success, 1 a checked
 property failed (oracle mismatch, non-CND kernel, properness violation,
@@ -19,24 +20,27 @@ import sys
 from collections.abc import Iterable, Iterator
 from functools import partial
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .grammar import ParseError, load_lamp_table, load_sample_file, parse_element, parse_int
 from .groups import (
     DEFAULT_CAP,
-    CapExceededError,
     LampGroup,
     WreathElement,
+    check_rank,
     check_table_order,
     check_tolerance,
+    parse_int,
 )
-from .wreath_walls import WreathHalfSpace, WreathWallSpace
+
+if TYPE_CHECKING:
+    from .wreath_walls import WreathHalfSpace, WreathWallSpace
 
 # What a command returns: exit code, the ``--format json`` payload, and the text lines.
 Result = tuple[int, object, Iterable[str]]
 
 
 def _number(text: str, kind: type = int) -> int | float:
-    """A numeric flag value: ASCII without ``_``, and an int by :func:`grammar.parse_int`."""
+    """A numeric flag value: ASCII without ``_``, and an int by :func:`groups.parse_int`."""
     try:
         if text.isascii() and "_" not in text:
             return parse_int(text) if kind is int else float(text)
@@ -61,9 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--cap", type=_number, default=DEFAULT_CAP, help="enumeration cardinality cap"
     )
-    parser.add_argument(
-        "--format", dest="fmt", choices=("text", "json", "csv"), default="text"
-    )
+    parser.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
     parser.add_argument(
         "--tol",
         type=partial(_number, kind=float),
@@ -117,10 +119,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _session(args: argparse.Namespace) -> WreathWallSpace:
+def _session(args: argparse.Namespace) -> LampGroup:
+    """The session's lamp group, once every session argument has been checked."""
     if args.cap < 1:
         raise ValueError(f"cap must be >= 1, got {args.cap}")
     if args.lamp_table is not None:
+        from .grammar import load_lamp_table
         lamps = load_lamp_table(args.lamp_table, args.cap)
     else:
         order = args.lamp_order if args.lamp_order is not None else 2
@@ -129,11 +133,18 @@ def _session(args: argparse.Namespace) -> WreathWallSpace:
     check_tolerance(args.tol)
     if args.fmt == "csv" and args.command != "growth":
         raise ValueError("csv output is not available for this command")
+    check_rank(args.rank)
+    return lamps
+
+
+def _space(lamps: LampGroup, args: argparse.Namespace) -> WreathWallSpace:
+    from .wreath_walls import WreathWallSpace
     return WreathWallSpace(lamps, rank=args.rank, cap=args.cap)
 
 
-def _parse(space: WreathWallSpace, *texts: str) -> list[WreathElement]:
-    return [parse_element(text, space.lamps, space.rank) for text in texts]
+def _parse(lamps: LampGroup, rank: int, *texts: str) -> list[WreathElement]:
+    from .grammar import parse_element
+    return [parse_element(text, lamps, rank) for text in texts]
 
 
 def _half_space_dict(half: WreathHalfSpace) -> dict:
@@ -143,20 +154,21 @@ def _half_space_dict(half: WreathHalfSpace) -> dict:
     }
 
 
-def _cmd_mul(space: WreathWallSpace, args: argparse.Namespace) -> Result:
-    left, right = _parse(space, args.left, args.right)
+def _cmd_mul(lamps: LampGroup, args: argparse.Namespace) -> Result:
+    left, right = _parse(lamps, args.rank, args.left, args.right)
     product = str(left * right)
     return 0, {"element": product}, [product]
 
 
-def _cmd_inv(space: WreathWallSpace, args: argparse.Namespace) -> Result:
-    (element,) = _parse(space, args.element)
+def _cmd_inv(lamps: LampGroup, args: argparse.Namespace) -> Result:
+    (element,) = _parse(lamps, args.rank, args.element)
     inverse = str(element.inverse())
     return 0, {"element": inverse}, [inverse]
 
 
-def _cmd_dist(space: WreathWallSpace, args: argparse.Namespace) -> Result:
-    first, second = _parse(space, args.first, args.second)
+def _cmd_dist(lamps: LampGroup, args: argparse.Namespace) -> Result:
+    space = _space(lamps, args)
+    first, second = _parse(lamps, args.rank, args.first, args.second)
     if not args.oracle:
         distance = space.wall_distance(first, second)
         return 0, {"distance": distance}, [str(distance)]
@@ -166,14 +178,15 @@ def _cmd_dist(space: WreathWallSpace, args: argparse.Namespace) -> Result:
         message = "oracle mismatch: brute-force walls differ from the fast enumeration"
         print(message, file=sys.stderr)
         for label, only in (("brute force", brute - fast), ("fast enumeration", fast - brute)):
-            for wall in sorted(only, key=WreathHalfSpace.sort_key):
+            for wall in sorted(only, key=lambda half: half.sort_key()):
                 print(f"  only in {label}: {wall}", file=sys.stderr)
     payload = {"distance": len(fast), "oracle_ok": brute == fast}
     return (0 if brute == fast else 1), payload, [str(len(fast))]
 
 
-def _cmd_walls(space: WreathWallSpace, args: argparse.Namespace) -> Result:
-    first, second = _parse(space, args.first, args.second)
+def _cmd_walls(lamps: LampGroup, args: argparse.Namespace) -> Result:
+    space = _space(lamps, args)
+    first, second = _parse(lamps, args.rank, args.first, args.second)
     walls = space.separating_walls(first, second)
     forward = [wall for wall, rows in walls if rows == [0]]
     reverse = [wall for wall, rows in walls if rows == [1]]
@@ -187,7 +200,8 @@ def _cmd_walls(space: WreathWallSpace, args: argparse.Namespace) -> Result:
     return 0, payload, [*lines, f"total {distance}"]
 
 
-def _cmd_proper(space: WreathWallSpace, args: argparse.Namespace) -> Result:
+def _cmd_proper(lamps: LampGroup, args: argparse.Namespace) -> Result:
+    space = _space(lamps, args)
     radius = args.radius if args.radius is not None else args.max_wall + 1
     report = space.sublevel_report(args.max_wall, radius)
     sublevel = [str(e) for e in report.sublevel]
@@ -210,10 +224,10 @@ def _cmd_proper(space: WreathWallSpace, args: argparse.Namespace) -> Result:
     return (0 if report.contained else 1), payload, lines()
 
 
-def _cmd_growth(space: WreathWallSpace, args: argparse.Namespace) -> Result:
+def _cmd_growth(lamps: LampGroup, args: argparse.Namespace) -> Result:
     from .embedding import growth_table
 
-    rows = growth_table(space, args.radius)
+    rows = growth_table(_space(lamps, args), args.radius)
     if args.fmt == "csv":
         lines = ["radius,sphere_size,min_wall,max_wall"]
         lines += (f"{r.radius},{r.sphere_size},{r.min_wall},{r.max_wall}" for r in rows)
@@ -225,10 +239,12 @@ def _cmd_growth(space: WreathWallSpace, args: argparse.Namespace) -> Result:
     return 0, [row._asdict() for row in rows], lines
 
 
-def _cmd_cnd(space: WreathWallSpace, args: argparse.Namespace) -> Result:
+def _cmd_cnd(lamps: LampGroup, args: argparse.Namespace) -> Result:
     from .embedding import cnd_check, distance_matrix, validate_distance_matrix
+    from .grammar import load_sample_file
 
-    elements = load_sample_file(args.sample, space.lamps, space.rank)
+    space = _space(lamps, args)
+    elements = load_sample_file(args.sample, lamps, args.rank)
     matrix = distance_matrix(space, elements)
     validate_distance_matrix(matrix)
     wall_count = space.separating_wall_count(*elements)
@@ -250,10 +266,12 @@ def _write_lines(path: Path, lines: Iterable) -> None:
     path.write_text("".join(f"{line}\n" for line in lines))
 
 
-def _cmd_embed(space: WreathWallSpace, args: argparse.Namespace) -> Result:
+def _cmd_embed(lamps: LampGroup, args: argparse.Namespace) -> Result:
     from .embedding import coordinates_csv, distance_matrix, hamming_distances, wall_coordinates
+    from .grammar import load_sample_file
 
-    elements = load_sample_file(args.sample, space.lamps, space.rank)
+    space = _space(lamps, args)
+    elements = load_sample_file(args.sample, lamps, args.rank)
     matrix = distance_matrix(space, elements)
     walls, coordinates = wall_coordinates(space, elements)
     out = args.out
@@ -295,7 +313,7 @@ def main(argv: list[str] | None = None) -> int:
         # device takes whatever is still buffered at the interpreter's exit.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ParseError, CapExceededError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ParseError and CapExceededError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -151,15 +151,22 @@ def hamming_distances(coordinates: np.ndarray) -> np.ndarray:
     """Pairwise Hamming distances of 0/1 rows, exact in integers.
 
     Uses |x| + |y| - 2<x, y>, so the work is one n x n Gram product rather
-    than an n x n x walls comparison. It runs in float64, where numpy uses
-    BLAS, exact while its partial sums (at most the column count) stay below 2**53.
+    than an n x n x walls comparison, run by BLAS: in float32 below 2**24 columns,
+    else in float64 below 2**53, exact since each partial sum is an integer at most
+    the column count. The sums are then combined in place on one int64 matrix.
     """
     import numpy as np
-    if coordinates.shape[1] >= 2**53:
-        raise ValueError(f"{coordinates.shape[1]} columns exceed the exact float64 range 2**53")
+    columns = coordinates.shape[1]
+    if columns >= 2**53:
+        raise ValueError(f"{columns} columns exceed the exact float64 range 2**53")
+    gram = coordinates.astype(np.float32 if columns < 2**24 else np.float64)
+    gram = gram @ gram.T  # frees the n x columns float copy before the int64 one is made
+    distances = gram.astype(np.int64)
+    distances *= -2
     ones = coordinates.sum(axis=1, dtype=np.int64)
-    real = coordinates.astype(np.float64)
-    return ones[:, None] + ones[None, :] - 2 * (real @ real.T).astype(np.int64)
+    distances += ones[:, None]
+    distances += ones[None, :]
+    return distances
 
 
 class CndReport(NamedTuple):
@@ -191,7 +198,7 @@ def cnd_check(matrix: np.ndarray, tol: float = 1e-9) -> CndReport:
     n = matrix.shape[0]
     centering = np.eye(n) - np.full((n, n), 1.0 / n)
     centered = -0.5 * (centering @ matrix @ centering)
-    min_eigenvalue = float(np.linalg.eigvalsh(centered)[0])
+    min_eigenvalue = float(np.linalg.eigvalsh(centered)[0]) + 0.0  # -0.0 (one element) as 0.0
     threshold = tol * max(1.0, float(matrix.max(initial=0.0)))
     return CndReport(
         passed=min_eigenvalue >= -threshold,

@@ -11,7 +11,7 @@ Words are freely reduced on parse, so ``parse_element(str(x)) == x`` and
 ``str(parse_element(s))`` is the canonical (shortlex-sorted, reduced) form.
 
 A lamp table file starts with a line ``order k`` followed by k lines of k
-space-separated ids, row times column, each an integer by :func:`parse_int`.
+space-separated ids, row times column, each an integer by :func:`groups.parse_int`.
 A sample file holds one wreath literal per line; ``#`` starts a comment and
 blank lines are skipped. Both file kinds read undecodable bytes as lone surrogates,
 and their lines end only where a text file's do: at LF, CR LF or CR.
@@ -33,6 +33,7 @@ from .groups import (
     _ALPHABET,
     check_rank,
     check_table_order,
+    parse_int,
     within_cap,
 )
 
@@ -43,15 +44,6 @@ class ParseError(ValueError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} at position {position}")
         self.message, self.position = message, position
-
-
-def parse_int(text: str) -> int:
-    """An integer of a flag or a lamp table row: ASCII ``-?[0-9]+``, no ``+``, ``_`` or spaces."""
-    digits = text.removeprefix("-")
-    if not (text.isascii() and digits.isdigit()):
-        raise ValueError(f"invalid int value: {text!r}")
-    value = int(digits.lstrip("0") or "0")  # int() converts at most 4,300 digits
-    return value if digits == text else -value
 
 
 _LETTER_RUN = re.compile(f"[{_ALPHABET}]*")

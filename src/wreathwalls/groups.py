@@ -77,6 +77,15 @@ def check_rank(rank: int) -> None:
         raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
 
 
+def parse_int(text: str) -> int:
+    """An integer of a flag or a lamp table row: ASCII ``-?[0-9]+``, no ``+``, ``_`` or spaces."""
+    digits = text.removeprefix("-")
+    if not (text.isascii() and digits.isdigit()):
+        raise ValueError(f"invalid int value: {text!r}")
+    value = int(digits.lstrip("0") or "0")  # int() converts at most 4,300 digits
+    return value if digits == text else -value
+
+
 class Frozen:
     """Base of the immutable value classes: fields in ``__slots__``, compared as a tuple.
 
@@ -319,9 +328,7 @@ class LampGroup:
                 ab = rows[a][b]
                 for c in range(order):
                     if rows[ab][c] != rows[a][rows[b][c]]:
-                        raise ValueError(
-                            f"table is not associative at ({a}, {b}, {c})"
-                        )
+                        raise ValueError(f"table is not associative at ({a}, {b}, {c})")
         self.order = order
         self._table = rows
         self._inverse = tuple(inverse)
@@ -350,11 +357,7 @@ class LampGroup:
     @property
     def is_abelian(self) -> bool:
         n = self.order
-        return all(
-            self._table[a][b] == self._table[b][a]
-            for a in range(n)
-            for b in range(a + 1, n)
-        )
+        return all(self._table[a][b] == self._table[b][a] for a in range(n) for b in range(a))
 
     def __eq__(self, other: object) -> bool:
         if self is other:
@@ -410,10 +413,7 @@ class LampConfig(Frozen):
 
     @classmethod
     def from_pairs(
-        cls,
-        pairs: Iterable[tuple[ReducedWord, int]],
-        lamps: LampGroup,
-        rank: int,
+        cls, pairs: Iterable[tuple[ReducedWord, int]], lamps: LampGroup, rank: int
     ) -> "LampConfig":
         """Normalize arbitrary (position, value) pairs: drop identity values, sort."""
         kept = [(p, v) for p, v in pairs if v != 0]
@@ -446,25 +446,18 @@ class LampConfig(Frozen):
         return LampConfig.from_pairs(values.items(), self.lamps, self.rank)
 
     def inverse(self) -> "LampConfig":
-        return LampConfig(
-            tuple((p, self.lamps.inv(v)) for p, v in self.entries),
-            self.lamps,
-            self.rank,
-        )
+        entries = tuple((p, self.lamps.inv(v)) for p, v in self.entries)
+        return LampConfig(entries, self.lamps, self.rank)
 
     def shifted(self, g: ReducedWord) -> "LampConfig":
         """The shifted configuration x -> self(g^-1 x); support moves to g * support."""
         if g.rank != self.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {g.rank}")
-        return LampConfig.from_pairs(
-            ((g * p, v) for p, v in self.entries), self.lamps, self.rank
-        )
+        return LampConfig.from_pairs(((g * p, v) for p, v in self.entries), self.lamps, self.rank)
 
     def restrict(self, keep: Callable[[ReducedWord], bool]) -> "LampConfig":
         """The configuration agreeing with this one where ``keep`` holds, identity elsewhere."""
-        return LampConfig(
-            tuple((p, v) for p, v in self.entries if keep(p)), self.lamps, self.rank
-        )
+        return LampConfig(tuple((p, v) for p, v in self.entries if keep(p)), self.lamps, self.rank)
 
     def sort_key(self) -> tuple:
         return tuple((p.sort_key(), v) for p, v in self.entries)

@@ -343,6 +343,19 @@ class TestCndCommand:
         assert payload["pass"] is True
         assert payload["dimension"] == 3
 
+    @pytest.mark.parametrize(
+        "fmt, out",
+        [
+            ("text", "pass min_eigenvalue=0.000e+00 dimension=1 wall_count=0\n"),
+            ("json", '{"dimension": 1, "min_eigenvalue": 0.0, "pass": true, "wall_count": 0}\n'),
+        ],
+    )
+    def test_one_element_sample_prints_a_positive_zero(self, capsys, tmp_path, fmt, out):
+        # The centred 1 x 1 kernel is [[-0.0]], and eigvalsh returns its entry as it is.
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{a:1}|b\n")
+        assert run(capsys, "--format", fmt, "cnd", "--sample", str(sample)) == (0, out, "")
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_failing_kernel_exits_one(self, capsys, tmp_path, monkeypatch, fmt):
         from wreathwalls import embedding
@@ -529,6 +542,42 @@ class TestErrorsAndDeterminism:
         assert (code, out) == (2, "")
         assert "csv output is not available" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (["--rank", "0", "--cap", "0", "mul", "{}|1", "{}|1"], "cap must be >= 1, got 0"),
+            (
+                ["--rank", "0", "--format", "csv", "mul", "{}|1", "{}|1"],
+                "csv output is not available for this command",
+            ),
+            (
+                ["--rank", "0", "--tol", "nan", "inv", "{}|1"],
+                "tolerance must be finite and positive, got nan",
+            ),
+            (
+                ["--rank", "0", "--lamp-order", "1", "inv", "{}|1"],
+                "lamp group must have order >= 2, got 1",
+            ),
+            (
+                ["--rank", "0", "--lamp-table", "MISSING", "mul", "{}|1", "{}|1"],
+                "[Errno 2] No such file or directory: 'MISSING'",
+            ),
+            (["--rank", "27", "mul", "{z:1}|1", "b"], "rank must be in 1..26, got 27"),
+            (["--rank", "0", "proper", "--max-wall", "1"], "rank must be in 1..26, got 0"),
+            (
+                ["--rank", "0", "--lamp-table", "TABLE", "growth", "--radius", "1"],
+                "rank must be in 1..26, got 0",
+            ),
+        ],
+    )
+    def test_first_bad_session_argument_reports(self, capsys, tmp_path, argv, line):
+        # Cap, lamps, tolerance, format, then rank; the rank before any element is parsed.
+        (tmp_path / "table.txt").write_text(format_lamp_table(s3()))
+        paths = {"TABLE": str(tmp_path / "table.txt"), "MISSING": str(tmp_path / "missing.txt")}
+        argv = [paths.get(a, a) for a in argv]
+        line = line.replace("MISSING", paths["MISSING"])
+        assert run(capsys, *argv) == (2, "", f"error: {line}\n")
 
     def test_cap_exhaustion_exits_two(self, capsys):
         # The cap bounds the 26 elements at wall distance <= 2, not the box around them.
@@ -826,13 +875,24 @@ class TestModuleEntryPoint:
         assert stderr == b""
 
 
+# The package modules the probe reports, and those each command loads besides cli and groups.
+PACKAGE_MODULES = ("embedding", "grammar", "walls", "wreath_walls")
+COMMAND_MODULES = {
+    "mul": {"grammar"},
+    "inv": {"grammar"},
+    "dist": {"grammar", "walls", "wreath_walls"},
+    "walls": {"grammar", "walls", "wreath_walls"},
+    "proper": {"walls", "wreath_walls"},
+    "growth": {"embedding", "walls", "wreath_walls"},
+}
+
 # Runs main(argv) in a fresh interpreter, then reports its exit code and whether numpy,
-# dataclasses, json and the package's embedding module are loaded.
-IMPORT_PROBE = """
+# dataclasses, json and each of the PACKAGE_MODULES are loaded.
+IMPORT_PROBE = f"""
 import sys
 from wreathwalls.cli import main
 code = main(sys.argv[1:])
-loaded = ("numpy", "dataclasses", "json", "wreathwalls.embedding")
+loaded = ("numpy", "dataclasses", "json", *("wreathwalls." + m for m in {PACKAGE_MODULES}))
 print(code, *(name in sys.modules for name in loaded), file=sys.stderr)
 """
 
@@ -860,21 +920,29 @@ NUMPY_FREE = [
 ]
 
 
-def loads_embedding(argv):
-    """Only ``growth`` of the numpy-free commands runs code from ``embedding``."""
-    return "growth" in argv
+def expected_probe(argv, json=False, modules=frozenset()):
+    """The probe's line for a numpy-free command that exits 0: its command's modules loaded,
+    plus ``modules``; json only when asked for."""
+    loaded = modules | next(COMMAND_MODULES[a] for a in argv if a in COMMAND_MODULES)
+    flags = [False, False, json, *(m in loaded for m in PACKAGE_MODULES)]
+    return " ".join(map(str, [0, *flags]))
 
 
 class TestNumpyLoading:
     @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
     def test_numpy_free_commands_never_import_numpy(self, argv):
-        # Nor dataclasses, nor json in text format, nor embedding unless the command runs it.
-        assert probe_imports(*argv) == f"0 False False False {loads_embedding(argv)}"
+        # Nor dataclasses, nor json in text format, nor a package module the command never runs.
+        assert probe_imports(*argv) == expected_probe(argv)
 
     @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
     def test_json_format_imports_json_but_not_numpy_or_dataclasses(self, argv):
-        expected = f"0 False False True {loads_embedding(argv)}"
-        assert probe_imports("--format", "json", *argv) == expected
+        assert probe_imports("--format", "json", *argv) == expected_probe(argv, json=True)
+
+    def test_lamp_table_growth_also_loads_the_grammar(self, tmp_path):
+        table = tmp_path / "table.txt"
+        table.write_text(format_lamp_table(s3()))
+        argv = ["--lamp-table", str(table), "growth", "--radius", "3"]
+        assert probe_imports(*argv) == expected_probe(argv, modules={"grammar"})
 
     def test_cnd_imports_numpy(self, tmp_path):
         sample = tmp_path / "sample.txt"

@@ -212,6 +212,12 @@ class TestWallCoordinates:
         assert np.array_equal(hamming_distances(coords), pairwise(coords))
         assert np.array_equal(hamming_distances(coords), distance_matrix(sp, elements))
 
+    def test_gram_form_is_exact_past_float32_width(self):
+        # One row of 2**24 + 1 ones (a zero-stride view): in float32 its Gram entry rounds to
+        # 2**24, giving the row distance 2 from itself; float64 holds it exactly.
+        wide = np.broadcast_to(np.ones((1, 1), dtype=np.uint8), (1, 2**24 + 1))
+        assert hamming_distances(wide).tolist() == [[0]]
+
     def test_gram_form_refuses_widths_past_float64_exactness(self):
         # A zero-stride view: 2**53 columns without allocating them.
         wide = np.broadcast_to(np.zeros((1, 1), dtype=np.int64), (1, 2**53))

@@ -188,6 +188,11 @@ class TestSampleFiles:
 
 
 class TestParseInt:
+    def test_grammar_re_exports_the_groups_function(self):
+        from wreathwalls import groups
+
+        assert parse_int is groups.parse_int
+
     def test_ascii_decimal_with_optional_minus(self):
         texts = ("0", "7", "007", "-1", "-0", "-007", "0" * 5000 + "7", "-" + "0" * 5000)
         assert [parse_int(t) for t in texts] == [0, 7, 7, -1, 0, -7, 7, 0]
