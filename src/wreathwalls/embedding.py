@@ -1,14 +1,13 @@
 """Finite-scale certification that the wall metric embeds into Hilbert space.
 
-Walls give squared-distance-isometric coordinates for free: index one 0/1
-coordinate per wall, set it to membership in the wall's positive half, and
-the Hamming distance between coordinate rows equals the wall distance
-exactly. So every wall distance matrix is a pseudometric and conditionally
-negative definite, the finite-sample shadow of a proper isometric action on
-a Hilbert space. This module computes distances and coordinates, validates a
-pseudometric, tests conditional negative definiteness by eigenvalue, and
-tabulates how the wall distance grows along word-metric spheres.
-numpy is imported only inside the functions that compute with arrays.
+Walls give squared-distance-isometric coordinates for free: one 0/1 coordinate
+per wall, membership in its positive half, whose Hamming distances are the
+wall distances. So every wall distance matrix is a pseudometric and
+conditionally negative definite, the finite-sample shadow of a proper
+isometric action on a Hilbert space. This module computes distances and
+coordinates, certifies that identity exactly by comparing columns, keeps a
+pseudometric check and an eigenvalue test of CND as its fallback and oracle,
+and tabulates growth. numpy is imported only inside functions that use arrays.
 """
 
 from __future__ import annotations
@@ -33,6 +32,26 @@ def validate_sample(elements: list[WreathElement]) -> None:
         seen.add(element)
 
 
+def _node_groups(space: WreathWallSpace, elements: list[WreathElement]) -> list[list[int]]:
+    """The node index of :func:`distance_matrix`, ascending rows per key; refuses as it does."""
+    validate_sample(elements)
+    space.check_elements(*elements)
+    n = len(elements)
+    within_cap(n * n, space.cap, f"distance matrix of {n} elements")
+    groups: dict[str | tuple, list[int]] = {}
+    for i, x in enumerate(elements):
+        position = x.position.letters
+        sites = [(p.letters, v) for p, v in x.lamps.entries]
+        nodes = {w[:k] for w in (position, *(w for w, _ in sites)) for k in range(1, len(w) + 1)}
+        for u in nodes:
+            depth = len(u)
+            inside = position[:depth] == u
+            other_side = tuple([site for site in sites if (site[0][:depth] == u) != inside])
+            groups.setdefault(u, []).append(i)
+            groups.setdefault((u, inside, other_side), []).append(i)
+    return list(groups.values())
+
+
 def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np.ndarray:
     """Matrix of pairwise wall distances, not validated (see :func:`validate_distance_matrix`).
 
@@ -44,37 +63,45 @@ def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np
     an element occupying ``r`` nodes is keyed at each by ``u`` and by its
     side of ``u`` with its lamps on the other side. Then half the distance is
     ``r_a + r_b`` less one for each node both occupy and one for each such
-    key they share. :meth:`~WreathWallSpace.wall_distance` is the pairwise
-    oracle of this sum in the tests.
+    key they share: the distance is the Hamming distance of their key sets
+    (:func:`_node_groups`). :meth:`~WreathWallSpace.wall_distance` is its pairwise oracle.
 
     Refuses above the space's cap on the n * n entries, before allocating.
     """
     import numpy as np
-    validate_sample(elements)
-    space.check_elements(*elements)
+    groups = _node_groups(space, elements)
     n = len(elements)
-    within_cap(n * n, space.cap, f"distance matrix of {n} elements")
-    occupied = np.zeros(n, dtype=np.int64)
-    groups: dict[str | tuple, list[int]] = {}
-    for i, x in enumerate(elements):
-        position = x.position.letters
-        sites = [(p.letters, v) for p, v in x.lamps.entries]
-        nodes = {w[:k] for w in (position, *(w for w, _ in sites)) for k in range(1, len(w) + 1)}
-        occupied[i] = len(nodes)
-        for u in nodes:
-            depth = len(u)
-            inside = position[:depth] == u
-            other_side = tuple([site for site in sites if (site[0][:depth] == u) != inside])
-            groups.setdefault(u, []).append(i)
-            groups.setdefault((u, inside, other_side), []).append(i)
+    sizes = np.bincount([i for rows in groups for i in rows], minlength=n)
     matrix = np.zeros((n, n), dtype=np.int64)
-    for rows in groups.values():
+    for rows in groups:
         if len(rows) > 1:
             matrix[np.ix_(rows, rows)] -= 2
-    matrix += 2 * occupied[:, None]
-    matrix += 2 * occupied[None, :]
+    matrix += sizes[:, None]
+    matrix += sizes[None, :]
     np.fill_diagonal(matrix, 0)
     return matrix
+
+
+def wall_certificate(space: WreathWallSpace, elements: list[WreathElement]) -> tuple[int, bool]:
+    """The sample's wall count, and whether :func:`distance_matrix` is exactly its wall metric.
+
+    True when the node index's columns equal the walls of ``WreathWallSpace._keyed_edges``
+    (the shared wall ``(False, ())`` by its cone) up to what a Hamming distance ignores:
+    constant columns and complements. The matrix is then the walls' Hamming distance, a CND
+    pseudometric with minimum centred eigenvalue exactly 0; no n x n matrix is built. Refuses
+    as :func:`distance_matrix` does.
+    """
+    groups = _node_groups(space, elements)
+    n = len(elements)
+    walls: list[list[int]] = []
+    for _, members, cone in space._keyed_edges(tuple(elements)):
+        walls += [*members.values(), cone] if len(cone) < n else members.values()
+
+    def canonical(columns: list[list[int]]) -> list[tuple[int, ...]]:
+        flip = set(range(n)).difference  # a column holding row 0 is read as its complement
+        return sorted(tuple(c if c[0] else sorted(flip(c))) for c in columns if 0 < len(c) < n)
+
+    return len(walls), canonical(walls) == canonical(groups)
 
 
 def _check_symmetric(matrix: np.ndarray, what: str) -> None:

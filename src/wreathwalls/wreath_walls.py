@@ -228,11 +228,6 @@ class WreathWallSpace:
         walls.sort(key=lambda pair: pair[0].sort_key())
         return walls
 
-    def separating_wall_count(self, *elements: WreathElement) -> int:
-        """How many :meth:`separating_walls` there are, counted by key without building them."""
-        n, edges = len(elements), self._keyed_edges(elements)
-        return sum(len(members) + (len(in_cone) < n) for _, members, in_cone in edges)
-
     def directed_separating_walls(
         self, inside: WreathElement, outside: WreathElement
     ) -> tuple[WreathHalfSpace, ...]:

@@ -14,7 +14,7 @@ import pytest
 from wreathwalls.cli import main
 from wreathwalls.embedding import CndReport
 
-from support import format_lamp_table, s3
+from support import format_lamp_table, s3, z2
 
 
 def run(capsys, *argv):
@@ -68,6 +68,15 @@ def damage_distance_matrix(monkeypatch, damage):
         return matrix
 
     monkeypatch.setattr(embedding, "distance_matrix", damaged)
+
+
+def force_fallback(monkeypatch):
+    """Make ``embedding.wall_certificate`` report its count as not exact, so ``cnd`` falls
+    back to ``distance_matrix``, ``validate_distance_matrix`` and ``cnd_check``."""
+    from wreathwalls import embedding
+
+    certify = embedding.wall_certificate
+    monkeypatch.setattr(embedding, "wall_certificate", lambda *args: (certify(*args)[0], False))
 
 
 def assert_refused_within_five_seconds(argv):
@@ -360,6 +369,7 @@ class TestCndCommand:
     def test_failing_kernel_exits_one(self, capsys, tmp_path, monkeypatch, fmt):
         from wreathwalls import embedding
 
+        force_fallback(monkeypatch)
         monkeypatch.setattr(
             embedding,
             "cnd_check",
@@ -416,12 +426,68 @@ class TestCndCommand:
         assert "tolerance" in err
 
     def test_broken_triangle_inequality_exits_two(self, capsys, tmp_path, monkeypatch):
+        force_fallback(monkeypatch)
         damage_distance_matrix(monkeypatch, break_triangle)
         sample = tmp_path / "sample.txt"
         sample.write_text("{}|1\n{}|a\n{}|ab\n")
         code, out, err = run(capsys, "cnd", "--sample", str(sample))
         assert (code, out) == (2, "")
         assert "triangle inequality fails through index" in err
+
+    def test_passes_exactly_without_the_matrix_checks(self, capsys, tmp_path, monkeypatch):
+        from wreathwalls import embedding
+
+        for name in ("distance_matrix", "validate_distance_matrix", "cnd_check"):
+            monkeypatch.setattr(embedding, name, forbidden)
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{}|1\n{}|a\n{}|ab\n{a:1}|a\n")
+        out = "pass min_eigenvalue=0.000e+00 dimension=4 wall_count=4\n"
+        assert run(capsys, "cnd", "--sample", str(sample)) == (0, out, "")
+
+    def test_damaged_node_index_falls_back_to_the_eigenvalue_check(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        from wreathwalls import LampGroup, WreathWallSpace, embedding
+        from wreathwalls.grammar import load_sample_file
+
+        node_groups = embedding._node_groups
+
+        def damaged(space, elements):
+            groups = node_groups(space, elements)
+            groups[0] = groups[0][1:]  # node a's cone {1, 2, 3} loses row 1
+            return groups
+
+        monkeypatch.setattr(embedding, "_node_groups", damaged)
+        calls = count_calls(monkeypatch, embedding, "cnd_check")
+        sample = tmp_path / "sample.txt"
+        sample.write_text("{}|1\n{}|a\n{}|ab\n{a:1}|a\n")
+        lamps = LampGroup.cyclic(2)
+        elements = load_sample_file(sample, lamps, 2)
+        assert embedding.wall_certificate(WreathWallSpace(lamps, 2), elements) == (4, False)
+        code, out, err = run(capsys, "cnd", "--sample", str(sample))
+        # The damaged index still gives a Hamming matrix, so the fallback passes it.
+        assert (code, calls, err) == (0, [1], "")
+        assert out.startswith("pass ") and out.endswith(" dimension=4 wall_count=4\n")
+
+    @pytest.mark.parametrize(
+        "fmt, out",
+        [
+            ("text", "pass min_eigenvalue=0.000e+00 dimension=2926 wall_count=1144\n"),
+            (
+                "json",
+                '{"dimension": 2926, "min_eigenvalue": 0.0, "pass": true, "wall_count": 1144}\n',
+            ),
+        ],
+    )
+    def test_certifies_the_rank_2_wall_ball_of_radius_6(self, capsys, tmp_path, fmt, out):
+        # B(1, 6) in Z/2 wr F_2: every finite set of wall diameter at most 6 embeds.
+        from wreathwalls import WreathWallSpace
+
+        ball = WreathWallSpace(z2(), 2).sublevel(6)
+        sample = tmp_path / "ball.txt"
+        sample.write_text("".join(f"{element}\n" for element in ball))
+        argv = ["--cap", "10000000", "--format", fmt, "cnd", "--sample", str(sample)]
+        assert run(capsys, *argv) == (0, out, "")
 
     def test_counts_walls_without_building_them(self, capsys, tmp_path, monkeypatch):
         from wreathwalls.wreath_walls import WreathHalfSpace
@@ -884,6 +950,7 @@ COMMAND_MODULES = {
     "walls": {"grammar", "walls", "wreath_walls"},
     "proper": {"walls", "wreath_walls"},
     "growth": {"embedding", "walls", "wreath_walls"},
+    "cnd": {"embedding", "grammar", "walls", "wreath_walls"},
 }
 
 # Runs main(argv) in a fresh interpreter, then reports its exit code and whether numpy,
@@ -897,10 +964,18 @@ print(code, *(name in sys.modules for name in loaded), file=sys.stderr)
 """
 
 
-def probe_imports(*argv):
+# Prepended to the probe: cnd's certificate reports its count as not exact.
+FORCE_FALLBACK = """
+import wreathwalls.embedding as embedding
+certify = embedding.wall_certificate
+embedding.wall_certificate = lambda *args: (certify(*args)[0], False)
+"""
+
+
+def probe_imports(*argv, prelude=""):
     """The probe's last stderr line for ``argv``: exit code, then each module's loaded flag."""
     result = subprocess.run(
-        [sys.executable, "-c", IMPORT_PROBE, *argv],
+        [sys.executable, "-c", prelude + IMPORT_PROBE, *argv],
         capture_output=True,
         text=True,
         timeout=60,
@@ -917,7 +992,15 @@ NUMPY_FREE = [
     ["walls", "{}|1", "{a:1}|ab"],
     ["--rank", "1", "proper", "--max-wall", "1"],
     ["growth", "--radius", "3"],
+    ["cnd", "--sample", "SAMPLE"],
 ]
+
+
+def with_sample(argv, tmp_path):
+    """``argv`` with ``SAMPLE`` replaced by a three-element sample file written in ``tmp_path``."""
+    sample = tmp_path / "sample.txt"
+    sample.write_text("{}|1\n{}|a\n{a:1}|ab\n")
+    return [str(sample) if a == "SAMPLE" else a for a in argv]
 
 
 def expected_probe(argv, json=False, modules=frozenset()):
@@ -930,12 +1013,14 @@ def expected_probe(argv, json=False, modules=frozenset()):
 
 class TestNumpyLoading:
     @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
-    def test_numpy_free_commands_never_import_numpy(self, argv):
+    def test_numpy_free_commands_never_import_numpy(self, argv, tmp_path):
         # Nor dataclasses, nor json in text format, nor a package module the command never runs.
+        argv = with_sample(argv, tmp_path)
         assert probe_imports(*argv) == expected_probe(argv)
 
     @pytest.mark.parametrize("argv", NUMPY_FREE, ids=" ".join)
-    def test_json_format_imports_json_but_not_numpy_or_dataclasses(self, argv):
+    def test_json_format_imports_json_but_not_numpy_or_dataclasses(self, argv, tmp_path):
+        argv = with_sample(argv, tmp_path)
         assert probe_imports("--format", "json", *argv) == expected_probe(argv, json=True)
 
     def test_lamp_table_growth_also_loads_the_grammar(self, tmp_path):
@@ -944,10 +1029,10 @@ class TestNumpyLoading:
         argv = ["--lamp-table", str(table), "growth", "--radius", "3"]
         assert probe_imports(*argv) == expected_probe(argv, modules={"grammar"})
 
-    def test_cnd_imports_numpy(self, tmp_path):
-        sample = tmp_path / "sample.txt"
-        sample.write_text("{}|1\n{}|a\n{a:1}|ab\n")
-        assert probe_imports("cnd", "--sample", str(sample)).split()[:2] == ["0", "True"]
+    def test_cnd_imports_numpy_only_in_its_fallback(self, tmp_path):
+        argv = with_sample(["cnd", "--sample", "SAMPLE"], tmp_path)
+        assert probe_imports(*argv).split()[:2] == ["0", "False"]
+        assert probe_imports(*argv, prelude=FORCE_FALLBACK).split()[:2] == ["0", "True"]
 
 
 class TestPackageImport:

@@ -22,6 +22,7 @@ from wreathwalls import (
     validate_sample,
     wall_coordinates,
 )
+from wreathwalls.embedding import wall_certificate
 from wreathwalls.grammar import parse_element
 
 from support import (
@@ -241,8 +242,9 @@ class TestWallBalls:
         matrix = distance_matrix(sp, ball)
         validate_distance_matrix(matrix)
         assert cnd_check(matrix).passed
-        _, coords = wall_coordinates(sp, ball)
+        walls, coords = wall_coordinates(sp, ball)
         assert np.array_equal(hamming_distances(coords), matrix)
+        assert wall_certificate(sp, ball) == (len(walls), True)
 
     def test_left_translates_of_a_ball_have_its_distances(self):
         # Rank 2, N = 4: each generator s (and the lamp move) maps B(1, 2) into B(1, 4),

@@ -18,8 +18,7 @@ import pytest
 from wreathwalls.cli import main
 
 # The centred kernel of any sample has the eigenvalue 0 (on the constant
-# vector). For this Z/3 sample numpy returns it as exactly 0.0, so the cnd
-# lines carry no rounding noise.
+# vector). cnd certifies this sample exactly and prints that 0 as 0.0.
 SAMPLE = (
     "{1:1,A:1}|Ab\n"
     "{a:2,aB:1}|aB\n"

@@ -6,7 +6,7 @@ words, elements or samples. The n-point ``separating_tree_walls`` and the
 calls, and the deep endpoints of ``separating_walls`` must equal that oracle;
 the closed form ``wall_distance`` must agree with both directed enumerations
 and with the brute-force search, ``separating_walls`` with the pairwise union of directed
-walls (and ``separating_wall_count`` with their number), the node-sum
+walls, ``wall_certificate`` (exact) with their number and the eigenvalue check, the node-sum
 distance matrix with ``wall_distance`` pair by pair, and the wall coordinates
 with per-cell membership and, by Hamming distance, with the distance matrix.
 A random element must lie in the generated sub-level set exactly when its
@@ -42,6 +42,7 @@ from wreathwalls import (
     WreathElement,
     WreathHalfSpace,
     WreathWallSpace,
+    cnd_check,
     distance_matrix,
     free_ball,
     hamming_distances,
@@ -53,6 +54,7 @@ from wreathwalls import (
     separating_tree_walls,
     wall_coordinates,
 )
+from wreathwalls.embedding import wall_certificate
 from wreathwalls.wreath_walls import spanned_edge_series
 
 from support import (
@@ -205,10 +207,15 @@ def test_sample_walls_equal_pairwise_directed_union(case):
 
 
 @settings(deadline=None, max_examples=60)
-@given(samples(min_size=0))
+@given(samples(min_size=1))
 def test_wall_count_equals_sample_walls(case):
+    # The certificate is exact and counts the sample's walls; the numpy oracle agrees.
     space, sample = case
-    assert space.separating_wall_count(*sample) == len(space.separating_walls(*sample))
+    walls, coordinates = wall_coordinates(space, sample)
+    assert wall_certificate(space, sample) == (len(walls), True)
+    matrix = distance_matrix(space, sample)
+    assert np.array_equal(matrix, hamming_distances(coordinates))
+    assert cnd_check(matrix).passed
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,6 +16,7 @@ from wreathwalls import (
     WreathElement,
     WreathWallSpace,
 )
+from wreathwalls.embedding import wall_certificate
 from wreathwalls.grammar import parse_element, parse_word
 from wreathwalls.wreath_walls import WreathHalfSpace
 
@@ -156,7 +157,7 @@ class TestDirectedSeparation:
             with pytest.raises(ValueError):
                 sp.separating_walls(foreign)
             with pytest.raises(ValueError):
-                sp.separating_wall_count(elem("{}|1"), foreign)
+                wall_certificate(sp, [elem("{}|1"), foreign])
 
 
 class TestSampleWalls:
@@ -171,9 +172,9 @@ class TestSampleWalls:
             ("E(COCONE(B), {})", [0, 1]),
             ("E(COCONE(B), {B:1})", [2]),
         ]
-        assert sp.separating_wall_count(*sample) == 4
+        assert wall_certificate(sp, sample) == (4, True)
         assert sp.separating_walls(sample[0]) == []
-        assert sp.separating_wall_count(sample[0]) == 0
+        assert wall_certificate(sp, sample[:1]) == (0, True)
 
 
 class TestWallDistance:
