@@ -4,17 +4,17 @@ Walls give squared-distance-isometric coordinates for free: one 0/1 coordinate
 per wall, membership in its positive half, whose Hamming distances are the
 wall distances. So every wall distance matrix is a pseudometric and
 conditionally negative definite, the finite-sample shadow of a proper
-isometric action on a Hilbert space. This module computes distances and
-coordinates, certifies that identity exactly by comparing columns, keeps a
-pseudometric check and an eigenvalue test of CND as its fallback and oracle,
-and tabulates growth. numpy is imported only inside functions that use arrays.
+isometric action on a Hilbert space. This module reads the sample's wall
+columns off the one keyed pass over its tree nodes, builds distances and
+coordinates, keeps a pseudometric check and an eigenvalue test of CND as
+oracles, and tabulates growth. numpy is imported only inside functions that use arrays.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple
 
-from .groups import WreathElement, check_tolerance, predicted_ball_size, within_cap
+from .groups import WreathElement, predicted_ball_size, within_cap
 from .wreath_walls import WreathHalfSpace, WreathWallSpace, spanned_edge_series
 
 if TYPE_CHECKING:
@@ -32,76 +32,45 @@ def validate_sample(elements: list[WreathElement]) -> None:
         seen.add(element)
 
 
-def _node_groups(space: WreathWallSpace, elements: list[WreathElement]) -> list[list[int]]:
-    """The node index of :func:`distance_matrix`, ascending rows per key; refuses as it does."""
+def wall_columns(space: WreathWallSpace, elements: list[WreathElement]) -> list[list[int]]:
+    """The sample's walls as 0/1 columns: the ascending rows in each wall's positive half.
+
+    One column per key of ``WreathWallSpace._keyed_edges``, and the cone of each edge that
+    misses some element: it stands in for the shared wall ``(False, ())``, its complement,
+    which a Hamming distance cannot tell from it. Refuses empty or duplicate samples, foreign
+    elements, and, before any wall work, above the space's cap on n * n distance entries.
+    """
     validate_sample(elements)
     space.check_elements(*elements)
     n = len(elements)
     within_cap(n * n, space.cap, f"distance matrix of {n} elements")
-    groups: dict[str | tuple, list[int]] = {}
-    for i, x in enumerate(elements):
-        position = x.position.letters
-        sites = [(p.letters, v) for p, v in x.lamps.entries]
-        nodes = {w[:k] for w in (position, *(w for w, _ in sites)) for k in range(1, len(w) + 1)}
-        for u in nodes:
-            depth = len(u)
-            inside = position[:depth] == u
-            other_side = tuple([site for site in sites if (site[0][:depth] == u) != inside])
-            groups.setdefault(u, []).append(i)
-            groups.setdefault((u, inside, other_side), []).append(i)
-    return list(groups.values())
+    columns: list[list[int]] = []
+    for _, members, cone in space._keyed_edges(tuple(elements)):
+        columns += [*members.values(), cone] if len(cone) < n else members.values()
+    return columns
 
 
 def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np.ndarray:
     """Matrix of pairwise wall distances, not validated (see :func:`validate_distance_matrix`).
 
-    Summed over tree nodes, not over pairs. For two elements let ``S`` be
-    their positions and the sites where their lamps differ; half their wall
-    distance is the edge count of the subtree ``S`` spans, ``|nonempty
-    prefixes of S| - |longest common prefix of S|``. A node ``u`` is
-    *occupied* by an element with its position or a lamp in the cone of ``u``;
-    an element occupying ``r`` nodes is keyed at each by ``u`` and by its
-    side of ``u`` with its lamps on the other side. Then half the distance is
-    ``r_a + r_b`` less one for each node both occupy and one for each such
-    key they share: the distance is the Hamming distance of their key sets
-    (:func:`_node_groups`). :meth:`~WreathWallSpace.wall_distance` is its pairwise oracle.
+    The Hamming distance of the :func:`wall_columns`, summed over columns, not over pairs:
+    ``r_i + r_j`` less two for each column holding both rows, with ``r_i`` the number of
+    columns holding row ``i``. :meth:`~WreathWallSpace.wall_distance` is its pairwise oracle.
 
-    Refuses above the space's cap on the n * n entries, before allocating.
+    Refuses as :func:`wall_columns` does, before allocating.
     """
     import numpy as np
-    groups = _node_groups(space, elements)
+    columns = wall_columns(space, elements)
     n = len(elements)
-    sizes = np.bincount([i for rows in groups for i in rows], minlength=n)
+    sizes = np.bincount([i for rows in columns for i in rows], minlength=n)
     matrix = np.zeros((n, n), dtype=np.int64)
-    for rows in groups:
+    for rows in columns:
         if len(rows) > 1:
             matrix[np.ix_(rows, rows)] -= 2
     matrix += sizes[:, None]
     matrix += sizes[None, :]
     np.fill_diagonal(matrix, 0)
     return matrix
-
-
-def wall_certificate(space: WreathWallSpace, elements: list[WreathElement]) -> tuple[int, bool]:
-    """The sample's wall count, and whether :func:`distance_matrix` is exactly its wall metric.
-
-    True when the node index's columns equal the walls of ``WreathWallSpace._keyed_edges``
-    (the shared wall ``(False, ())`` by its cone) up to what a Hamming distance ignores:
-    constant columns and complements. The matrix is then the walls' Hamming distance, a CND
-    pseudometric with minimum centred eigenvalue exactly 0; no n x n matrix is built. Refuses
-    as :func:`distance_matrix` does.
-    """
-    groups = _node_groups(space, elements)
-    n = len(elements)
-    walls: list[list[int]] = []
-    for _, members, cone in space._keyed_edges(tuple(elements)):
-        walls += [*members.values(), cone] if len(cone) < n else members.values()
-
-    def canonical(columns: list[list[int]]) -> list[tuple[int, ...]]:
-        flip = set(range(n)).difference  # a column holding row 0 is read as its complement
-        return sorted(tuple(c if c[0] else sorted(flip(c))) for c in columns if 0 < len(c) < n)
-
-    return len(walls), canonical(walls) == canonical(groups)
 
 
 def _check_symmetric(matrix: np.ndarray, what: str) -> None:
@@ -215,7 +184,8 @@ def cnd_check(matrix: np.ndarray, tol: float = 1e-9) -> CndReport:
     essentially exactly.
     """
     import numpy as np
-    check_tolerance(tol)
+    if not 0 < tol < np.inf:
+        raise ValueError(f"tolerance must be finite and positive, got {tol}")
     matrix = np.asarray(matrix, dtype=np.float64)
     _check_symmetric(matrix, "kernel matrix")
     if matrix.size == 0:

@@ -18,7 +18,6 @@ function of its inputs, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import math
 import re
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -63,12 +62,6 @@ def check_table_order(order: int, cap: int) -> None:
     """Refuse a lamp table whose order**3 associativity checks would exceed ``cap``."""
     if order >= 2:
         within_cap(order**3, cap, f"lamp table check of order {order}")
-
-
-def check_tolerance(tol: float) -> None:
-    """Reject an eigenvalue tolerance that is not finite and positive (NaN included)."""
-    if not 0 < tol < math.inf:
-        raise ValueError(f"tolerance must be finite and positive, got {tol}")
 
 
 def check_rank(rank: int) -> None:

@@ -175,19 +175,20 @@ class WreathWallSpace:
 
     def _keyed_edges(
         self, elements: tuple[WreathElement, ...]
-    ) -> Iterator[tuple[ReducedWord, dict[tuple, list[int]], list[int]]]:
+    ) -> Iterator[tuple[str, dict[tuple, list[int]], list[int]]]:
         """Each base wall between some two of the elements, with its cone's elements keyed.
 
         Over an edge, an element lies in exactly one wall's positive half:
         its own side, decorated with its lamps beyond the edge. The key is
         that side (``inside`` the cone or not) and those entries, and two
         elements are separated over the edge exactly when their keys differ.
-        Only the elements with a position or lamp in the cone are keyed, and
-        their indices come third. Every other element lies in the one wall
-        keyed ``(False, ())``, a key no element in the cone has, since a
-        cocone wall's decoration lives in the cone. An edge is yielded, in no
-        fixed order, when its elements fall under two or more keys; an edge
-        whose cone no element reaches has them all under that one key.
+        The edge comes as its deep end's letters. Only the elements with a
+        position or lamp in the cone are keyed, and their indices come third.
+        Every other element lies in the one wall keyed ``(False, ())``, a key
+        no element in the cone has, since a cocone wall's decoration lives in
+        the cone. An edge is yielded, in no fixed order, when its elements fall
+        under two or more keys; an edge whose cone no element reaches has them
+        all under that one key.
         """
         self.check_elements(*elements)
         n = len(elements)
@@ -206,7 +207,7 @@ class WreathWallSpace:
                 beyond = tuple([e for w, e in sites[i] if (w[:depth] == deep) != inside])
                 members.setdefault((inside, beyond), []).append(i)
             if len(members) + (len(cone) < n) > 1:
-                yield ReducedWord(deep, self.rank), members, cone
+                yield deep, members, cone
 
     def separating_walls(self, *elements: WreathElement) -> list[tuple[WreathHalfSpace, list[int]]]:
         """The walls separating some two of the elements, with the indices in each positive half.
@@ -218,9 +219,10 @@ class WreathWallSpace:
         index = list(range(len(elements)))  # one int object per element, shared by every wall
         everyone = set(index)
         walls = []
-        for edge, members, in_cone in self._keyed_edges(elements):
+        for deep, members, in_cone in self._keyed_edges(elements):
             if len(in_cone) < len(index):
                 members[(False, ())] = sorted(everyone.difference(in_cone))
+            edge = ReducedWord(deep, self.rank)
             for (inside, beyond), rows in members.items():
                 base = TreeHalfSpace(edge, inside)
                 decoration = LampConfig(beyond, self.lamps, self.rank)

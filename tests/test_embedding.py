@@ -22,7 +22,7 @@ from wreathwalls import (
     validate_sample,
     wall_coordinates,
 )
-from wreathwalls.embedding import wall_certificate
+from wreathwalls.embedding import wall_columns
 from wreathwalls.grammar import parse_element
 
 from support import (
@@ -121,6 +121,23 @@ class TestDistanceMatrix:
                 elements.append(e)
         sp = WreathWallSpace(z2(), 2)
         assert np.array_equal(distance_matrix(sp, elements), pairwise_distance_matrix(sp, elements))
+
+    def test_keyed_edges_missing_a_row_fail_the_pairwise_oracle(self, monkeypatch):
+        # distance_matrix reads nothing but the keyed edges; the oracle walks spanned_edges.
+        sp = WreathWallSpace(z2(), 2)
+        elements = sample(["{}|1", "{}|a", "{}|ab", "{a:1}|a"])
+        oracle = pairwise_distance_matrix(sp, elements)
+        assert np.array_equal(distance_matrix(sp, elements), oracle)
+        keyed_edges = WreathWallSpace._keyed_edges
+
+        def damaged(space, elements):
+            edges = list(keyed_edges(space, elements))
+            rows = next(iter(edges[0][1].values()))
+            del rows[0]  # the first key of the first edge loses its first row
+            return iter(edges)
+
+        monkeypatch.setattr(WreathWallSpace, "_keyed_edges", damaged)
+        assert not np.array_equal(distance_matrix(sp, elements), oracle)
 
     def test_rejects_elements_of_another_space(self):
         with pytest.raises(ValueError, match="different lamp group"):
@@ -244,7 +261,7 @@ class TestWallBalls:
         assert cnd_check(matrix).passed
         walls, coords = wall_coordinates(sp, ball)
         assert np.array_equal(hamming_distances(coords), matrix)
-        assert wall_certificate(sp, ball) == (len(walls), True)
+        assert len(wall_columns(sp, ball)) == len(walls)
 
     def test_left_translates_of_a_ball_have_its_distances(self):
         # Rank 2, N = 4: each generator s (and the lamp move) maps B(1, 2) into B(1, 4),

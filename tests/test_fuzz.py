@@ -2,9 +2,9 @@
 
 Hypothesis draws one of the eight commands with its arguments, the global
 flags (extreme and negative ints for ``--rank``, ``--cap``, ``--max-wall``
-and ``--radius``, NaN and infinities for ``--tol``) and random bytes for
-sample and lamp table files. ``main`` runs in process; the only exception
-it may raise is argparse's ``SystemExit``.
+and ``--radius``) and random bytes for sample and lamp table files.
+``main`` runs in process; the only exception it may raise is argparse's
+``SystemExit``.
 
 Every draw is bounded. Only ``mul``, ``inv`` and ``walls``, whose work does
 not grow with the cap, draw caps above 3,000 (with lamp orders of at most
@@ -33,11 +33,6 @@ BOUNDED_CAPS = st.one_of(
     st.integers(8, 3000), st.integers(-3, 3000), st.sampled_from(EXTREMES[:4])
 ).map(str)
 ANY_CAPS = st.one_of(BOUNDED_CAPS, st.sampled_from(EXTREMES).map(str))
-TOLERANCES = st.one_of(
-    st.sampled_from(["1e-9", "1e-6", "0.5", "1e308"]),
-    st.sampled_from(["nan", "-nan", "inf", "-inf", "0", "-1", "x"]),
-    st.floats(allow_nan=True, allow_infinity=True).map(repr),
-)
 LITERALS = st.one_of(
     st.sampled_from(["{}|1", "{a:1}|ab", "{1:1,B:1}|b", "{A:1}|ba"]),
     st.sampled_from(["{a:2}|A", "{}|C", "{a:1}|", "{", "1", "", "--x"]),
@@ -68,8 +63,6 @@ def invocations(draw, directory: Path) -> list[str]:
         argv += ["--lamp-table", str(table)]
     if draw(st.booleans()):
         argv += ["--format", draw(st.sampled_from(["text", "json", "csv"]))]
-    if draw(st.booleans()):
-        argv += [f"--tol={draw(TOLERANCES)}"]
     argv.append(command)
     if command in ("mul", "dist", "walls"):
         argv += [draw(LITERALS), draw(LITERALS)]

@@ -6,9 +6,10 @@ words, elements or samples. The n-point ``separating_tree_walls`` and the
 calls, and the deep endpoints of ``separating_walls`` must equal that oracle;
 the closed form ``wall_distance`` must agree with both directed enumerations
 and with the brute-force search, ``separating_walls`` with the pairwise union of directed
-walls, ``wall_certificate`` (exact) with their number and the eigenvalue check, the node-sum
-distance matrix with ``wall_distance`` pair by pair, and the wall coordinates
-with per-cell membership and, by Hamming distance, with the distance matrix.
+walls, ``wall_columns`` with their number (its matrix also with ``wall_distance`` and the
+eigenvalue check), the node-sum distance matrix with ``wall_distance`` pair by pair, and
+the wall coordinates with per-cell membership and, by Hamming distance, with the distance
+matrix.
 A random element must lie in the generated sub-level set exactly when its
 wall distance to the identity is within the level. The
 brute-force search itself must equal a plain reference sweep, the wall
@@ -54,7 +55,7 @@ from wreathwalls import (
     separating_tree_walls,
     wall_coordinates,
 )
-from wreathwalls.embedding import wall_certificate
+from wreathwalls.embedding import wall_columns
 from wreathwalls.wreath_walls import spanned_edge_series
 
 from support import (
@@ -209,11 +210,12 @@ def test_sample_walls_equal_pairwise_directed_union(case):
 @settings(deadline=None, max_examples=60)
 @given(samples(min_size=1))
 def test_wall_count_equals_sample_walls(case):
-    # The certificate is exact and counts the sample's walls; the numpy oracle agrees.
+    # cnd counts the sample's walls as wall_columns; the pairwise and numpy oracles agree.
     space, sample = case
     walls, coordinates = wall_coordinates(space, sample)
-    assert wall_certificate(space, sample) == (len(walls), True)
+    assert len(wall_columns(space, sample)) == len(walls)
     matrix = distance_matrix(space, sample)
+    assert np.array_equal(matrix, pairwise_distance_matrix(space, sample))
     assert np.array_equal(matrix, hamming_distances(coordinates))
     assert cnd_check(matrix).passed
 

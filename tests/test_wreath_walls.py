@@ -16,7 +16,7 @@ from wreathwalls import (
     WreathElement,
     WreathWallSpace,
 )
-from wreathwalls.embedding import wall_certificate
+from wreathwalls.embedding import wall_columns
 from wreathwalls.grammar import parse_element, parse_word
 from wreathwalls.wreath_walls import WreathHalfSpace
 
@@ -157,7 +157,7 @@ class TestDirectedSeparation:
             with pytest.raises(ValueError):
                 sp.separating_walls(foreign)
             with pytest.raises(ValueError):
-                wall_certificate(sp, [elem("{}|1"), foreign])
+                wall_columns(sp, [elem("{}|1"), foreign])
 
 
 class TestSampleWalls:
@@ -172,9 +172,9 @@ class TestSampleWalls:
             ("E(COCONE(B), {})", [0, 1]),
             ("E(COCONE(B), {B:1})", [2]),
         ]
-        assert wall_certificate(sp, sample) == (4, True)
+        assert len(wall_columns(sp, sample)) == 4
         assert sp.separating_walls(sample[0]) == []
-        assert wall_certificate(sp, sample[:1]) == (0, True)
+        assert wall_columns(sp, sample[:1]) == []
 
 
 class TestWallDistance:
