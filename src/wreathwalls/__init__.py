@@ -44,7 +44,7 @@ _EXPORTS = {
     "separating_tree_walls": "walls",
     "translate_half_space": "walls",
     "validate_distance_matrix": "embedding",
-    "validate_sample": "embedding",
+    "validate_sample": "columns",
     "wall_coordinates": "embedding",
 }
 

@@ -2,8 +2,8 @@
 
 Every command works over one session: the free-group rank, the lamp group
 (cyclic order or explicit table file) and an enumeration cap. Only a command
-that parses imports ``grammar``, and only one that uses walls ``wreath_walls``.
-It reads the output format from its arguments.
+that parses imports ``grammar``. ``cnd`` counts wall columns by ``columns``; only the
+other wall commands import ``wreath_walls``. It reads the output format from its arguments.
 Results go to stdout, errors to stderr. Exit codes: 0 success, 1 a checked
 property failed (oracle mismatch, properness violation, isometry self-check),
 2 usage or input errors. A reader that closes stdout early ends the output
@@ -229,14 +229,13 @@ def _cmd_growth(lamps: LampGroup, args: argparse.Namespace) -> Result:
 
 
 def _cmd_cnd(lamps: LampGroup, args: argparse.Namespace) -> Result:
-    from .embedding import wall_columns
+    from .columns import wall_columns
     from .grammar import load_sample_file
 
-    space = _space(lamps, args)
     elements = load_sample_file(args.sample, lamps, args.rank)
     # The wall distance is the Hamming distance of these 0/1 wall columns, so it is CND
     # with least centred eigenvalue exactly 0; the tests hold the columns to their oracles.
-    wall_count = len(wall_columns(space, elements))
+    wall_count = len(wall_columns(elements, lamps, args.rank, args.cap))
     n = len(elements)
     payload = {"pass": True, "min_eigenvalue": 0.0, "dimension": n, "wall_count": wall_count}
     return 0, payload, [f"pass min_eigenvalue=0.000e+00 dimension={n} wall_count={wall_count}"]

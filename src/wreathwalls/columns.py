@@ -1,0 +1,75 @@
+"""A sample's walls as 0/1 columns, keyed in one pass over the tree nodes it occupies.
+
+Needs only ``groups``: ``cnd`` counts the columns without the wall classes, and
+``WreathWallSpace.separating_walls`` builds its half-spaces from the same keys.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator, Sequence
+
+from .groups import LampGroup, WreathElement, check_elements, within_cap
+
+
+def validate_sample(elements: list[WreathElement]) -> None:
+    """Reject empty samples and duplicate elements."""
+    if not elements:
+        raise ValueError("sample must contain at least one element")
+    seen: set[WreathElement] = set()
+    for element in elements:
+        if element in seen:
+            raise ValueError(f"duplicate sample element {element}")
+        seen.add(element)
+
+
+def keyed_edges(
+    elements: Sequence[WreathElement],
+) -> Iterator[tuple[str, dict[tuple, list[int]], list[int]]]:
+    """Each base wall between some two of the elements, with its cone's elements keyed.
+
+    Over an edge, an element lies in exactly one wall's positive half: its own
+    side (``inside`` the cone or not), decorated with its lamps beyond the edge.
+    The key is that side and those ``(letters, value)`` entries. The edge comes
+    as its deep end's letters, and the indices of the elements with a position
+    or lamp in the cone come third. Every other element lies in the one wall
+    keyed ``(False, ())``, which no element in the cone has: a cocone wall's
+    decoration lives in the cone. An edge is yielded, in no fixed order, when
+    its elements fall under two or more keys. Ranks and lamp groups are not checked.
+    """
+    n = len(elements)
+    positions = [x.position.letters for x in elements]
+    sites = [[(p.letters, v) for p, v in x.lamps.entries] for x in elements]
+    in_cone: dict[str, list[int]] = {}
+    for i, (position, entries) in enumerate(zip(positions, sites)):
+        words = (position, *(w for w, _ in entries))
+        for node in {w[:k] for w in words for k in range(1, len(w) + 1)}:
+            in_cone.setdefault(node, []).append(i)
+    for deep, cone in in_cone.items():
+        depth = len(deep)
+        members: dict[tuple, list[int]] = {}
+        for i in cone:
+            inside = positions[i][:depth] == deep
+            beyond = tuple([e for e in sites[i] if (e[0][:depth] == deep) != inside])
+            members.setdefault((inside, beyond), []).append(i)
+        if len(members) + (len(cone) < n) > 1:
+            yield deep, members, cone
+
+
+def wall_columns(
+    elements: list[WreathElement], lamps: LampGroup, rank: int, cap: int
+) -> list[list[int]]:
+    """The sample's walls as 0/1 columns: the ascending rows in each wall's positive half.
+
+    One column per key of :func:`keyed_edges`, and the cone of each edge that misses some
+    element: it stands in for the shared wall ``(False, ())``, its complement, which a
+    Hamming distance cannot tell from it. Refuses empty or duplicate samples, foreign
+    elements, and, before any wall work, above ``cap`` on n * n distance entries.
+    """
+    validate_sample(elements)
+    check_elements(lamps, rank, elements)
+    n = len(elements)
+    within_cap(n * n, cap, f"distance matrix of {n} elements")
+    columns: list[list[int]] = []
+    for _, members, cone in keyed_edges(elements):
+        columns += [*members.values(), cone] if len(cone) < n else members.values()
+    return columns

@@ -4,10 +4,10 @@ Walls give squared-distance-isometric coordinates for free: one 0/1 coordinate
 per wall, membership in its positive half, whose Hamming distances are the
 wall distances. So every wall distance matrix is a pseudometric and
 conditionally negative definite, the finite-sample shadow of a proper
-isometric action on a Hilbert space. This module reads the sample's wall
-columns off the one keyed pass over its tree nodes, builds distances and
-coordinates, keeps a pseudometric check and an eigenvalue test of CND as
-oracles, and tabulates growth. numpy is imported only inside functions that use arrays.
+isometric action on a Hilbert space. This module builds distances from the
+sample's wall columns (``columns``, imported on first use) and coordinates from
+its separating walls, keeps a pseudometric check and an eigenvalue test of CND
+as oracles, and tabulates growth. numpy is imported only inside functions that use arrays.
 """
 
 from __future__ import annotations
@@ -21,46 +21,18 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def validate_sample(elements: list[WreathElement]) -> None:
-    """Reject empty samples and duplicate elements."""
-    if not elements:
-        raise ValueError("sample must contain at least one element")
-    seen: set[WreathElement] = set()
-    for element in elements:
-        if element in seen:
-            raise ValueError(f"duplicate sample element {element}")
-        seen.add(element)
-
-
-def wall_columns(space: WreathWallSpace, elements: list[WreathElement]) -> list[list[int]]:
-    """The sample's walls as 0/1 columns: the ascending rows in each wall's positive half.
-
-    One column per key of ``WreathWallSpace._keyed_edges``, and the cone of each edge that
-    misses some element: it stands in for the shared wall ``(False, ())``, its complement,
-    which a Hamming distance cannot tell from it. Refuses empty or duplicate samples, foreign
-    elements, and, before any wall work, above the space's cap on n * n distance entries.
-    """
-    validate_sample(elements)
-    space.check_elements(*elements)
-    n = len(elements)
-    within_cap(n * n, space.cap, f"distance matrix of {n} elements")
-    columns: list[list[int]] = []
-    for _, members, cone in space._keyed_edges(tuple(elements)):
-        columns += [*members.values(), cone] if len(cone) < n else members.values()
-    return columns
-
-
 def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np.ndarray:
     """Matrix of pairwise wall distances, not validated (see :func:`validate_distance_matrix`).
 
-    The Hamming distance of the :func:`wall_columns`, summed over columns, not over pairs:
-    ``r_i + r_j`` less two for each column holding both rows, with ``r_i`` the number of
-    columns holding row ``i``. :meth:`~WreathWallSpace.wall_distance` is its pairwise oracle.
+    The Hamming distance of the sample's ``columns.wall_columns``, summed over columns, not
+    over pairs: ``r_i + r_j`` less two for each column holding both rows, with ``r_i`` the
+    number of columns holding row ``i``. :meth:`~WreathWallSpace.wall_distance` is its oracle.
 
-    Refuses as :func:`wall_columns` does, before allocating.
+    Refuses as ``wall_columns`` does, before allocating.
     """
     import numpy as np
-    columns = wall_columns(space, elements)
+    from .columns import wall_columns
+    columns = wall_columns(elements, space.lamps, space.rank, space.cap)
     n = len(elements)
     sizes = np.bincount([i for rows in columns for i in rows], minlength=n)
     matrix = np.zeros((n, n), dtype=np.int64)

@@ -70,6 +70,15 @@ def check_rank(rank: int) -> None:
         raise ValueError(f"rank must be in 1..{MAX_RANK}, got {rank}")
 
 
+def check_elements(lamps: LampGroup, rank: int, elements: Iterable[WreathElement]) -> None:
+    """Reject elements of another rank or lamp group."""
+    for element in elements:
+        if element.rank != rank:
+            raise ValueError(f"rank mismatch: {element.rank} vs {rank}")
+        if element.lamps.lamps != lamps:
+            raise ValueError("element uses a different lamp group")
+
+
 def parse_int(text: str) -> int:
     """An integer of a flag or a lamp table row: ASCII ``-?[0-9]+``, no ``+``, ``_`` or spaces."""
     digits = text.removeprefix("-")

@@ -8,9 +8,9 @@ complement of A, equal the decoration. The walls are the partitions into
 such a half-space and its complement.
 
 :class:`WreathWallSpace` packages the closed-form wall distance, the walls
-separating a sample (and the directed enumeration read off them), the induced
-left action on half-spaces, an exhaustive brute-force oracle for
-cross-checking, and the sub-level sets: generated directly, counted by the
+separating a sample (built on the keys of ``columns``, imported on first use)
+and the directed enumeration read off them, the induced left action, a
+brute-force oracle, and the sub-level sets: generated directly, counted by the
 spanned-edge series, with the exhaustive box sweep as their oracle.
 """
 
@@ -30,6 +30,7 @@ from .groups import (
     ball_letters,
     capped_ball_size,
     capped_power,
+    check_elements,
     check_rank,
     free_ball,
     predicted_ball_size,
@@ -165,68 +166,31 @@ class WreathWallSpace:
 
     def check_elements(self, *elements: WreathElement) -> None:
         """Reject elements of another rank or lamp group."""
-        for element in elements:
-            if element.rank != self.rank:
-                raise ValueError(f"rank mismatch: {element.rank} vs {self.rank}")
-            if element.lamps.lamps != self.lamps:
-                raise ValueError("element uses a different lamp group")
+        check_elements(self.lamps, self.rank, elements)
 
     # -- separating walls ---------------------------------------------------
-
-    def _keyed_edges(
-        self, elements: tuple[WreathElement, ...]
-    ) -> Iterator[tuple[str, dict[tuple, list[int]], list[int]]]:
-        """Each base wall between some two of the elements, with its cone's elements keyed.
-
-        Over an edge, an element lies in exactly one wall's positive half:
-        its own side, decorated with its lamps beyond the edge. The key is
-        that side (``inside`` the cone or not) and those entries, and two
-        elements are separated over the edge exactly when their keys differ.
-        The edge comes as its deep end's letters. Only the elements with a
-        position or lamp in the cone are keyed, and their indices come third.
-        Every other element lies in the one wall keyed ``(False, ())``, a key
-        no element in the cone has, since a cocone wall's decoration lives in
-        the cone. An edge is yielded, in no fixed order, when its elements fall
-        under two or more keys; an edge whose cone no element reaches has them
-        all under that one key.
-        """
-        self.check_elements(*elements)
-        n = len(elements)
-        positions = [x.position.letters for x in elements]
-        sites = [[(p.letters, (p, v)) for p, v in x.lamps.entries] for x in elements]
-        in_cone: dict[str, list[int]] = {}
-        for i, (position, entries) in enumerate(zip(positions, sites)):
-            words = (position, *(w for w, _ in entries))
-            for node in {w[:k] for w in words for k in range(1, len(w) + 1)}:
-                in_cone.setdefault(node, []).append(i)
-        for deep, cone in in_cone.items():
-            depth = len(deep)
-            members: dict[tuple, list[int]] = {}
-            for i in cone:
-                inside = positions[i][:depth] == deep
-                beyond = tuple([e for w, e in sites[i] if (w[:depth] == deep) != inside])
-                members.setdefault((inside, beyond), []).append(i)
-            if len(members) + (len(cone) < n) > 1:
-                yield deep, members, cone
 
     def separating_walls(self, *elements: WreathElement) -> list[tuple[WreathHalfSpace, list[int]]]:
         """The walls separating some two of the elements, with the indices in each positive half.
 
-        One half-space is built per key of :meth:`_keyed_edges`, and one for
-        the elements outside the cone of an edge, if there are any. Returned
-        in canonical order.
+        One half-space is built per key of :func:`~wreathwalls.columns.keyed_edges`,
+        and one for the elements outside the cone of an edge, if there are any; a
+        decoration's words are the sample's own. Returned in canonical order.
         """
+        from .columns import keyed_edges
+        self.check_elements(*elements)
+        entry = {(p.letters, v): (p, v) for x in elements for p, v in x.lamps.entries}
         index = list(range(len(elements)))  # one int object per element, shared by every wall
         everyone = set(index)
         walls = []
-        for deep, members, in_cone in self._keyed_edges(elements):
+        for deep, members, in_cone in keyed_edges(elements):
             if len(in_cone) < len(index):
                 members[(False, ())] = sorted(everyone.difference(in_cone))
             edge = ReducedWord(deep, self.rank)
             for (inside, beyond), rows in members.items():
-                base = TreeHalfSpace(edge, inside)
-                decoration = LampConfig(beyond, self.lamps, self.rank)
-                walls.append((WreathHalfSpace(base, decoration), rows))
+                entries = tuple(map(entry.__getitem__, beyond))
+                decoration = LampConfig(entries, self.lamps, self.rank)
+                walls.append((WreathHalfSpace(TreeHalfSpace(edge, inside), decoration), rows))
         walls.sort(key=lambda pair: pair[0].sort_key())
         return walls
 

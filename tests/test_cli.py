@@ -375,12 +375,12 @@ class TestCndCommand:
         assert len((out_dir / "walls.txt").read_text().splitlines()) == cnd_count
 
     def test_sample_above_cap_exits_two_before_wall_work(self, capsys, tmp_path, monkeypatch):
-        from wreathwalls import WreathWallSpace
+        from wreathwalls import columns
 
         def no_wall_work(*args):
             raise AssertionError("wall work ran before the cap check")
 
-        monkeypatch.setattr(WreathWallSpace, "_keyed_edges", no_wall_work)
+        monkeypatch.setattr(columns, "keyed_edges", no_wall_work)
         sample = tmp_path / "sample.txt"
         sample.write_text("{}|1\n{}|a\n{}|ab\n")
         # 8 admits the Z/2 table check (2**3 triples) but not the 3 * 3 matrix.
@@ -430,9 +430,9 @@ class TestCndCommand:
 
 class TestEmbedCommand:
     def test_validates_the_sample_once(self, capsys, tmp_path, monkeypatch):
-        from wreathwalls import embedding
+        from wreathwalls import columns
 
-        calls = count_calls(monkeypatch, embedding, "validate_sample")
+        calls = count_calls(monkeypatch, columns, "validate_sample")
         sample = tmp_path / "sample.txt"
         sample.write_text("{}|1\n{}|a\n{}|ab\n")
         code, _, _ = run(capsys, "embed", "--sample", str(sample), "--out", str(tmp_path / "out"))
@@ -874,15 +874,15 @@ class TestModuleEntryPoint:
 
 
 # The package modules the probe reports, and those each command loads besides cli and groups.
-PACKAGE_MODULES = ("embedding", "grammar", "walls", "wreath_walls")
+PACKAGE_MODULES = ("columns", "embedding", "grammar", "walls", "wreath_walls")
 COMMAND_MODULES = {
     "mul": {"grammar"},
     "inv": {"grammar"},
     "dist": {"grammar", "walls", "wreath_walls"},
-    "walls": {"grammar", "walls", "wreath_walls"},
+    "walls": {"columns", "grammar", "walls", "wreath_walls"},
     "proper": {"walls", "wreath_walls"},
     "growth": {"embedding", "walls", "wreath_walls"},
-    "cnd": {"embedding", "grammar", "walls", "wreath_walls"},
+    "cnd": {"columns", "grammar"},
 }
 
 # Runs main(argv) in a fresh interpreter, then reports its exit code and whether numpy,
@@ -930,7 +930,9 @@ def with_sample(argv, tmp_path):
 def expected_probe(argv, json=False, modules=frozenset()):
     """The probe's line for a numpy-free command that exits 0: its command's modules loaded,
     plus ``modules``; json only when asked for."""
-    loaded = modules | next(COMMAND_MODULES[a] for a in argv if a in COMMAND_MODULES)
+    command = next(a for a in argv if a in COMMAND_MODULES)
+    # dist --oracle lists the separating walls, as walls does.
+    loaded = modules | COMMAND_MODULES["walls" if "--oracle" in argv else command]
     flags = [False, False, json, *(m in loaded for m in PACKAGE_MODULES)]
     return " ".join(map(str, [0, *flags]))
 

@@ -22,7 +22,8 @@ from wreathwalls import (
     validate_sample,
     wall_coordinates,
 )
-from wreathwalls.embedding import wall_columns
+from wreathwalls import columns
+from wreathwalls.columns import wall_columns
 from wreathwalls.grammar import parse_element
 
 from support import (
@@ -128,15 +129,15 @@ class TestDistanceMatrix:
         elements = sample(["{}|1", "{}|a", "{}|ab", "{a:1}|a"])
         oracle = pairwise_distance_matrix(sp, elements)
         assert np.array_equal(distance_matrix(sp, elements), oracle)
-        keyed_edges = WreathWallSpace._keyed_edges
+        keyed_edges = columns.keyed_edges
 
-        def damaged(space, elements):
-            edges = list(keyed_edges(space, elements))
+        def damaged(elements):
+            edges = list(keyed_edges(elements))
             rows = next(iter(edges[0][1].values()))
             del rows[0]  # the first key of the first edge loses its first row
             return iter(edges)
 
-        monkeypatch.setattr(WreathWallSpace, "_keyed_edges", damaged)
+        monkeypatch.setattr(columns, "keyed_edges", damaged)
         assert not np.array_equal(distance_matrix(sp, elements), oracle)
 
     def test_rejects_elements_of_another_space(self):
@@ -261,7 +262,7 @@ class TestWallBalls:
         assert cnd_check(matrix).passed
         walls, coords = wall_coordinates(sp, ball)
         assert np.array_equal(hamming_distances(coords), matrix)
-        assert len(wall_columns(sp, ball)) == len(walls)
+        assert len(wall_columns(ball, sp.lamps, sp.rank, sp.cap)) == len(walls)
 
     def test_left_translates_of_a_ball_have_its_distances(self):
         # Rank 2, N = 4: each generator s (and the lamp move) maps B(1, 2) into B(1, 4),

@@ -55,7 +55,7 @@ from wreathwalls import (
     separating_tree_walls,
     wall_coordinates,
 )
-from wreathwalls.embedding import wall_columns
+from wreathwalls.columns import wall_columns
 from wreathwalls.wreath_walls import spanned_edge_series
 
 from support import (
@@ -213,7 +213,7 @@ def test_wall_count_equals_sample_walls(case):
     # cnd counts the sample's walls as wall_columns; the pairwise and numpy oracles agree.
     space, sample = case
     walls, coordinates = wall_coordinates(space, sample)
-    assert len(wall_columns(space, sample)) == len(walls)
+    assert len(wall_columns(sample, space.lamps, space.rank, space.cap)) == len(walls)
     matrix = distance_matrix(space, sample)
     assert np.array_equal(matrix, pairwise_distance_matrix(space, sample))
     assert np.array_equal(matrix, hamming_distances(coordinates))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from wreathwalls import columns as columns_module
 from wreathwalls import walls as walls_module
 from wreathwalls import wreath_walls as wreath_walls_module
 from wreathwalls import (
@@ -16,7 +17,7 @@ from wreathwalls import (
     WreathElement,
     WreathWallSpace,
 )
-from wreathwalls.embedding import wall_columns
+from wreathwalls.columns import wall_columns
 from wreathwalls.grammar import parse_element, parse_word
 from wreathwalls.wreath_walls import WreathHalfSpace
 
@@ -157,7 +158,7 @@ class TestDirectedSeparation:
             with pytest.raises(ValueError):
                 sp.separating_walls(foreign)
             with pytest.raises(ValueError):
-                wall_columns(sp, [elem("{}|1"), foreign])
+                wall_columns([elem("{}|1"), foreign], sp.lamps, sp.rank, sp.cap)
 
 
 class TestSampleWalls:
@@ -172,9 +173,9 @@ class TestSampleWalls:
             ("E(COCONE(B), {})", [0, 1]),
             ("E(COCONE(B), {B:1})", [2]),
         ]
-        assert len(wall_columns(sp, sample)) == 4
+        assert len(wall_columns(sample, sp.lamps, sp.rank, sp.cap)) == 4
         assert sp.separating_walls(sample[0]) == []
-        assert wall_columns(sp, sample[:1]) == []
+        assert wall_columns(sample[:1], sp.lamps, sp.rank, sp.cap) == []
 
 
 class TestWallDistance:
@@ -268,7 +269,7 @@ class TestWallDistance:
         for module in (walls_module, wreath_walls_module):
             monkeypatch.setattr(module, "spanned_edges", closed_form)
         monkeypatch.setattr(walls_module, "separating_tree_walls", closed_form)
-        monkeypatch.setattr(WreathWallSpace, "_keyed_edges", closed_form)
+        monkeypatch.setattr(columns_module, "keyed_edges", closed_form)
         with pytest.raises(AssertionError):
             sp.wall_distance(*pairs[0])
         for (a, b), walls in zip(pairs, expected):
