@@ -36,13 +36,11 @@ Result = tuple[int, object, Iterable[str]]
 
 
 def _number(text: str) -> int:
-    """A numeric flag value: ASCII without ``_``, and an int by :func:`groups.parse_int`."""
+    """A numeric flag value: an int by :func:`groups.parse_int`."""
     try:
-        if text.isascii() and "_" not in text:
-            return parse_int(text)
+        return parse_int(text)
     except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

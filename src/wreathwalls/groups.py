@@ -260,15 +260,10 @@ def ball_letters(rank: int, radius: int, cap: int = DEFAULT_CAP) -> Iterator[str
     return _ball_levels(rank, radius)
 
 
-def tree_children(letters: str, rank: int) -> list[str]:
-    """The Cayley-tree children of a reduced word: one letter longer, in shortlex order."""
-    back = letters[-1:].swapcase()
-    return [letters + letter for letter in _ALPHABET[: 2 * rank] if letter != back]
-
-
 def _ball_levels(rank: int, radius: int) -> Iterator[str]:
     # The letters that may follow each last letter ("" for the identity), in shortlex order.
-    after = {x: [w[-1] for w in tree_children(x, rank)] for x in ["", *_ALPHABET[: 2 * rank]]}
+    letters = _ALPHABET[: 2 * rank]
+    after = {x: [y for y in letters if y != x.swapcase()] for x in ["", *letters]}
     level = [""]
     yield ""
     for _ in range(radius):
@@ -412,6 +407,14 @@ class LampConfig(Frozen):
     @classmethod
     def empty(cls, lamps: LampGroup, rank: int) -> "LampConfig":
         return cls((), lamps, rank)
+
+    @classmethod
+    def _trusted(cls, entries: tuple, lamps: LampGroup, rank: int) -> "LampConfig":
+        """A configuration whose caller built its entries sorted and nontrivial: no checks."""
+        config = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (entries, lamps, rank)):
+            object.__setattr__(config, name, value)
+        return config
 
     @classmethod
     def from_pairs(

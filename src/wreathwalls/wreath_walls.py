@@ -34,7 +34,6 @@ from .groups import (
     check_rank,
     free_ball,
     predicted_ball_size,
-    tree_children,
     within_cap,
 )
 from .walls import TreeHalfSpace, spanned_edges, translate_half_space
@@ -377,23 +376,6 @@ class WreathWallSpace:
         series = spanned_edge_series(self.rank, edges, [self.lamps.order], [0, 1], [0, 1])
         return within_cap(sum(series), self.cap, what)
 
-    def _rooted_subtrees(self, max_edges: int) -> Iterator[list[str]]:
-        """Vertex lists, root first, of each Cayley subtree holding 1 with <= max_edges edges.
-
-        Each subtree is grown once: a vertex is added only from the part of
-        the frontier after the previously added one, together with its own
-        children.
-        """
-
-        def grow(vertices, frontier):
-            yield vertices
-            if len(vertices) <= max_edges:
-                for i, vertex in enumerate(frontier):
-                    children = tree_children(vertex, self.rank)
-                    yield from grow(vertices + [vertex], frontier[i + 1 :] + children)
-
-        return grow([""], tree_children("", self.rank))
-
     def sublevel(self, max_wall: int) -> list[WreathElement]:
         """Every element at wall distance <= max_wall from the identity, in canonical order.
 
@@ -401,44 +383,46 @@ class WreathWallSpace:
         ``{1, position} ∪ support``, so each subtree with at most
         ``max_wall // 2`` edges yields the elements spanning exactly it: any
         position in it, lamps arbitrary at the root, the position and inner
-        vertices, and nontrivial at every other leaf. Sorted by
-        :meth:`WreathElement.sort_key`, built from each vertex's key. Refuses
-        above the cap (see :meth:`sublevel_size`) before building anything.
+        vertices, and nontrivial at every other leaf. A vertex is its shortlex
+        index in the ball of radius ``max_wall // 2``, so the elements sort on
+        integer tuples as by :meth:`WreathElement.sort_key`. Refuses above the
+        cap (see :meth:`sublevel_size`) before building anything.
         """
         self.sublevel_size(max_wall)
-        words: dict[str, ReducedWord] = {}
-        keys: dict[str, tuple] = {}
-        lit = range(1, self.lamps.order)
+        max_edges, lit = max_wall // 2, range(1, self.lamps.order)
+        ball = free_ball(self.rank, max_edges, self.cap)  # the lamp-free part of the set
+        index = {word.letters: i for i, word in enumerate(ball)}
+        parent = [index[word.letters[:-1]] for word in ball]  # the root is its own
+        children: list[list[int]] = [[] for _ in ball]
+        for i in range(1, len(ball)):
+            children[parent[i]].append(i)
 
-        def configs(order, choices) -> list[tuple[tuple, LampConfig]]:
-            out = []
+        def configs(order, choices) -> Iterator[tuple[tuple, LampConfig]]:
             for values in itertools.product(*choices):
-                entries = [(v, value) for v, value in zip(order, values) if value]
-                key = tuple([(keys[v], value) for v, value in entries])
-                entries = tuple([(words[v], value) for v, value in entries])
-                out.append((key, LampConfig(entries, self.lamps, self.rank)))
-            return out
+                key = tuple([(v, value) for v, value in zip(order, values) if value])
+                entries = tuple([(ball[v], value) for v, value in key])
+                yield key, LampConfig._trusted(entries, self.lamps, self.rank)
 
         keyed = []
-        for vertices in self._rooted_subtrees(max_wall // 2):
-            for v in vertices:
-                if v not in words:
-                    words[v] = ReducedWord(v, self.rank)
-                    keys[v] = words[v].sort_key()
-            order = sorted(vertices, key=keys.__getitem__)
-            inner = {v[:-1] for v in vertices}
-            leaves = {v for v in vertices if v and v not in inner}
+        stack = [([0], children[0])]  # a subtree's vertices, root first, and its frontier
+        while stack:
+            vertices, frontier = stack.pop()
+            if len(vertices) <= max_edges:
+                for i, vertex in enumerate(frontier):  # later ones only: each subtree once
+                    stack.append((vertices + [vertex], frontier[i + 1 :] + children[vertex]))
+            order = sorted(vertices)
+            leaves = set(order[1:]).difference(map(parent.__getitem__, order))
             choices = [lit if v in leaves else self.lamps.elements() for v in order]
-            all_lit = configs(order, choices)
+            all_lit = list(configs(order, choices))
             for position in vertices:
                 chosen = all_lit
                 if position in leaves:
                     dark = [(0,) if v == position else c for v, c in zip(order, choices)]
-                    chosen = all_lit + configs(order, dark)
+                    chosen = [*all_lit, *configs(order, dark)]
                 for key, config in chosen:
-                    keyed.append(((keys[position], key), WreathElement(config, words[position])))
-        keyed.sort(key=lambda pair: pair[0])
-        return [element for _, element in keyed]
+                    keyed.append((position, key, WreathElement(config, ball[position])))
+        keyed.sort()  # (position, key) is unique, so no element is compared
+        return [element for _, _, element in keyed]
 
     def sublevel_report(self, max_wall: int, radius: int) -> SublevelReport:
         """Verify properness of the wall metric at level ``max_wall``.

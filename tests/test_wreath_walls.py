@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from wreathwalls import (
     CapExceededError,
     LampConfig,
     LampGroup,
+    ReducedWord,
     TreeHalfSpace,
     WreathElement,
     WreathWallSpace,
@@ -456,6 +458,36 @@ class TestProperness:
             assert len(set(generated)) == len(generated) == sp.sublevel_size(max_wall)
             max_wall += 1
         assert max_wall >= 3
+
+    def test_sublevel_numbers_its_vertices_by_one_ball(self, monkeypatch):
+        # Sorted on ball indices: no word's shortlex key is computed, and every configuration,
+        # built without the constructor's checks, equals its validated twin.
+        balls = []
+        free_ball = wreath_walls_module.free_ball
+
+        def counted(*args):
+            balls.append(args)
+            return free_ball(*args)
+
+        def no_key(word):
+            raise AssertionError(f"shortlex key of {word} computed")
+
+        monkeypatch.setattr(wreath_walls_module, "free_ball", counted)
+        monkeypatch.setattr(ReducedWord, "sort_key", no_key)
+        generated = WreathWallSpace(z2(), 2).sublevel(6)
+        monkeypatch.undo()
+        assert len(balls) == 1
+        assert len(generated) == 2926
+        assert generated == sorted(generated, key=WreathElement.sort_key)
+        for x in generated:
+            assert x.lamps == LampConfig(x.lamps.entries, z2(), 2)
+
+    def test_sublevel_listing_at_level_eight_is_pinned(self):
+        # Past the box sweep's reach, the digest of the 30,864-line rank-2 Z/2 listing pins
+        # both the set and its order.
+        listing = "".join(f"{x}\n" for x in WreathWallSpace(z2(), 2).sublevel(8))
+        digest = "8fbef322ef0d34a6e79058c33bb285c4adbc6c97ec7c68fc37488ab7b27851e6"
+        assert hashlib.sha256(listing.encode()).hexdigest() == digest
 
     def test_sublevel_sizes_rank_two(self):
         sp = WreathWallSpace(z2(), 2)
