@@ -32,7 +32,6 @@ _EXPORTS = {
     "free_ball": "groups",
     "free_reduce": "groups",
     "growth_table": "embedding",
-    "hamming_distances": "embedding",
     "load_lamp_table": "grammar",
     "load_sample_file": "grammar",
     "parse_config": "grammar",

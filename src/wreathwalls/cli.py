@@ -244,32 +244,32 @@ def _write_lines(path: Path, lines: Iterable) -> None:
 
 
 def _cmd_embed(lamps: LampGroup, args: argparse.Namespace) -> Result:
-    from .embedding import coordinates_csv, distance_matrix, hamming_distances, wall_coordinates
+    from .columns import coordinates_csv, hamming_rows, row_fields, wall_columns
     from .grammar import load_sample_file
 
     space = _space(lamps, args)
     elements = load_sample_file(args.sample, lamps, args.rank)
-    matrix = distance_matrix(space, elements)
-    walls, coordinates = wall_coordinates(space, elements)
+    n = len(elements)
+    keyed = wall_columns(elements, lamps, args.rank, args.cap)
+    distances = hamming_rows(keyed, n)
+    walls = space.separating_walls(*elements)
+    columns = [rows for _, rows in walls]
     out = args.out
     out.mkdir(parents=True, exist_ok=True)
     _write_lines(out / "elements.txt", elements)
-    _write_lines(out / "walls.txt", walls)
-    _write_lines(out / "distances.csv", (",".join(map(str, row.tolist())) for row in matrix))
-    (out / "coordinates.csv").write_bytes(coordinates_csv(coordinates))
-    # Hamming distances are a pseudometric: equality validates the matrix (else exit 1).
-    isometry_ok = bool((hamming_distances(coordinates) == matrix).all())
-    payload = {
-        "dimension": len(elements),
-        "wall_count": len(walls),
-        "isometry_ok": isometry_ok,
-        "out": str(out),
-    }
+    _write_lines(out / "walls.txt", (wall for wall, _ in walls))
+    numerals = [str(d) for d in range(len(keyed) + 1)]  # a Hamming distance counts columns
+    csv_rows = (",".join([numerals[d] for d in row_fields(r, n)]) for r in distances)
+    _write_lines(out / "distances.csv", csv_rows)
+    (out / "coordinates.csv").write_bytes(coordinates_csv(columns, n))
+    # Hamming distances are a pseudometric: equality validates the distances (else exit 1).
+    ok = hamming_rows(columns, n) == distances
+    payload = {"dimension": n, "wall_count": len(walls), "isometry_ok": ok, "out": str(out)}
     line = (
-        f"wrote {len(elements)} elements x {len(walls)} walls to {out};"
-        f" isometry self-check {'ok' if isometry_ok else 'FAILED'}"
+        f"wrote {n} elements x {len(walls)} walls to {out};"
+        f" isometry self-check {'ok' if ok else 'FAILED'}"
     )
-    return (0 if isometry_ok else 1), payload, [line]
+    return (0 if ok else 1), payload, [line]
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,12 +1,13 @@
 """A sample's walls as 0/1 columns, keyed in one pass over the tree nodes it occupies.
 
-Needs only ``groups``: ``cnd`` counts the columns without the wall classes, and
-``WreathWallSpace.separating_walls`` builds its half-spaces from the same keys.
+Needs only ``groups``: ``cnd`` counts the columns without the wall classes,
+``WreathWallSpace.separating_walls`` builds its half-spaces from the same keys, and
+``embed`` writes the columns' packed Hamming rows and coordinates without numpy.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .groups import LampGroup, WreathElement, check_elements, within_cap
 
@@ -73,3 +74,52 @@ def wall_columns(
     for _, members, cone in keyed_edges(elements):
         columns += [*members.values(), cone] if len(cone) < n else members.values()
     return columns
+
+
+def smaller_side(rows: Sequence[int], everyone: set[int]) -> Iterable[int]:
+    """``rows`` if they hold at most half of ``everyone``, else the others, as a set."""
+    return everyone.difference(rows) if 2 * len(rows) > len(everyone) else rows
+
+
+def row_fields(row: bytes, n: int) -> memoryview:
+    """The ``n`` fields of a :func:`hamming_rows` row, cast in a little-endian host's order."""
+    return memoryview(row).cast({2: "H", 4: "I", 8: "Q"}[len(row) // n])
+
+
+def hamming_rows(columns: Sequence[Sequence[int]], n: int) -> list[bytes]:
+    """Row ``i`` of the Hamming distance matrix of 0/1 columns (each listing its rows) as the
+    bytes of ``total + s_i * ones - 2 * sums[i]``: ``n`` little-endian fields.
+
+    A column and its complement give the same distances, so each adds its field mask over its
+    :func:`smaller_side` only: into ``total``, and into ``sums[i]`` for each row ``i`` there;
+    ``s_i`` is field ``i`` of ``total``. A field is 2 bytes wide when twice the column count
+    is below 2**16, else 4, else 8, so ``total + s_i * ones`` fits, and no field goes negative.
+    """
+    width = next(w for w in (2, 4, 8) if 2 * len(columns) < 1 << 8 * w)
+    size, total, sums, everyone = n * width, 0, [0] * n, set(range(n))
+    for rows in columns:
+        side = smaller_side(rows, everyone)
+        fields = bytearray(size)
+        for i in side:
+            fields[i * width] = 1
+        mask = int.from_bytes(fields, "little")
+        total += mask
+        for i in side:
+            sums[i] += mask
+    ones = int.from_bytes(b"\1".ljust(width, b"\0") * n, "little")
+    counts = row_fields(total.to_bytes(size, "little"), n)
+    return [(total + s * ones - 2 * row).to_bytes(size, "little") for s, row in zip(counts, sums)]
+
+
+def coordinates_csv(columns: Sequence[Sequence[int]], n: int) -> bytearray:
+    """The CSV text of 0/1 columns over rows ``0..n-1``, a line of comma-separated digits a row
+    (``\\n`` with no columns): ``n`` copies of a row holding ``1`` where a column holds more
+    than half the rows, then each column's :func:`smaller_side` written over them."""
+    row = b"".join(b"1," if 2 * len(rows) > n else b"0," for rows in columns)[:-1] + b"\n"
+    text, stride, everyone = bytearray(row) * n, len(row), set(range(n))
+    for k, rows in enumerate(columns):
+        side = smaller_side(rows, everyone)
+        digit = ord("1") if side is rows else ord("0")
+        for i in side:
+            text[i * stride + 2 * k] = digit
+    return text

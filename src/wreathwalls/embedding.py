@@ -1,13 +1,11 @@
-"""Finite-scale certification that the wall metric embeds into Hilbert space.
+"""Finite-scale certification that the wall metric embeds into Hilbert space, as numpy arrays.
 
-Walls give squared-distance-isometric coordinates for free: one 0/1 coordinate
-per wall, membership in its positive half, whose Hamming distances are the
-wall distances. So every wall distance matrix is a pseudometric and
-conditionally negative definite, the finite-sample shadow of a proper
-isometric action on a Hilbert space. This module builds distances from the
-sample's wall columns (``columns``, imported on first use) and coordinates from
-its separating walls, keeps a pseudometric check and an eigenvalue test of CND
-as oracles, and tabulates growth. numpy is imported only inside functions that use arrays.
+Walls give squared-distance-isometric coordinates for free: one 0/1 coordinate per wall,
+membership in its positive half, whose Hamming distances are the wall distances. So every
+wall distance matrix is a pseudometric and conditionally negative definite, the finite-sample
+shadow of a proper isometric action on a Hilbert space. This module reads the distances and
+coordinates that ``embed`` exports as arrays, keeps a pseudometric check and an eigenvalue
+test of CND as oracles, and tabulates growth. numpy is imported only inside functions that use it.
 """
 
 from __future__ import annotations
@@ -24,25 +22,15 @@ if TYPE_CHECKING:
 def distance_matrix(space: WreathWallSpace, elements: list[WreathElement]) -> np.ndarray:
     """Matrix of pairwise wall distances, not validated (see :func:`validate_distance_matrix`).
 
-    The Hamming distance of the sample's ``columns.wall_columns``, summed over columns, not
-    over pairs: ``r_i + r_j`` less two for each column holding both rows, with ``r_i`` the
-    number of columns holding row ``i``. :meth:`~WreathWallSpace.wall_distance` is its oracle.
-
-    Refuses as ``wall_columns`` does, before allocating.
+    The int64 view of ``columns.hamming_rows`` over the sample's ``columns.wall_columns``, the
+    rows ``embed`` exports; refuses as ``wall_columns`` does, before allocating.
+    :meth:`~WreathWallSpace.wall_distance` is its oracle.
     """
     import numpy as np
-    from .columns import wall_columns
-    columns = wall_columns(elements, space.lamps, space.rank, space.cap)
+    from .columns import hamming_rows, wall_columns
     n = len(elements)
-    sizes = np.bincount([i for rows in columns for i in rows], minlength=n)
-    matrix = np.zeros((n, n), dtype=np.int64)
-    for rows in columns:
-        if len(rows) > 1:
-            matrix[np.ix_(rows, rows)] -= 2
-    matrix += sizes[:, None]
-    matrix += sizes[None, :]
-    np.fill_diagonal(matrix, 0)
-    return matrix
+    rows = hamming_rows(wall_columns(elements, space.lamps, space.rank, space.cap), n)
+    return np.frombuffer(b"".join(rows), f"<u{len(rows[0]) // n}").reshape(n, n).astype(np.int64)
 
 
 def _check_symmetric(matrix: np.ndarray, what: str) -> None:
@@ -98,43 +86,6 @@ def wall_coordinates(
     for k, (_, rows) in enumerate(walls):
         matrix[rows, k] = 1
     return [wall for wall, _ in walls], matrix
-
-
-def coordinates_csv(coordinates: np.ndarray) -> bytes:
-    """The CSV text of 0/1 coordinates: one line per row, its digits separated by commas.
-
-    Built as one ``uint8`` buffer with ``'0' + C`` in the even columns, ``,``
-    in the odd ones and ``\\n`` at the end of each row, so a row with no
-    columns is just ``\\n``.
-    """
-    import numpy as np
-    rows, width = coordinates.shape
-    text = np.full((rows, max(2 * width, 1)), ord(","), dtype=np.uint8)
-    text[:, : 2 * width : 2] = coordinates + ord("0")
-    text[:, -1] = ord("\n")
-    return text.tobytes()
-
-
-def hamming_distances(coordinates: np.ndarray) -> np.ndarray:
-    """Pairwise Hamming distances of 0/1 rows, exact in integers.
-
-    Uses |x| + |y| - 2<x, y>, so the work is one n x n Gram product rather
-    than an n x n x walls comparison, run by BLAS: in float32 below 2**24 columns,
-    else in float64 below 2**53, exact since each partial sum is an integer at most
-    the column count. The sums are then combined in place on one int64 matrix.
-    """
-    import numpy as np
-    columns = coordinates.shape[1]
-    if columns >= 2**53:
-        raise ValueError(f"{columns} columns exceed the exact float64 range 2**53")
-    gram = coordinates.astype(np.float32 if columns < 2**24 else np.float64)
-    gram = gram @ gram.T  # frees the n x columns float copy before the int64 one is made
-    distances = gram.astype(np.int64)
-    distances *= -2
-    ones = coordinates.sum(axis=1, dtype=np.int64)
-    distances += ones[:, None]
-    distances += ones[None, :]
-    return distances
 
 
 class CndReport(NamedTuple):

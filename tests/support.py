@@ -124,6 +124,27 @@ def pairwise_distance_matrix(space: WreathWallSpace, elements: list[WreathElemen
     return matrix
 
 
+def hamming_distances(coordinates: np.ndarray) -> np.ndarray:
+    """Pairwise Hamming distances of 0/1 rows, exact in integers: the oracle of ``hamming_rows``.
+
+    Uses |x| + |y| - 2<x, y>, so the work is one n x n Gram product rather
+    than an n x n x walls comparison, run by BLAS: in float32 below 2**24 columns,
+    else in float64 below 2**53, exact since each partial sum is an integer at most
+    the column count. The sums are then combined in place on one int64 matrix.
+    """
+    columns = coordinates.shape[1]
+    if columns >= 2**53:
+        raise ValueError(f"{columns} columns exceed the exact float64 range 2**53")
+    gram = coordinates.astype(np.float32 if columns < 2**24 else np.float64)
+    gram = gram @ gram.T  # frees the n x columns float copy before the int64 one is made
+    distances = gram.astype(np.int64)
+    distances *= -2
+    ones = coordinates.sum(axis=1, dtype=np.int64)
+    distances += ones[:, None]
+    distances += ones[None, :]
+    return distances
+
+
 def base_walls(space: WreathWallSpace, *elements: WreathElement) -> tuple[ReducedWord, ...]:
     """The base walls carrying a wall between some two of the elements, by closed form.
 

@@ -46,27 +46,28 @@ def forbidden(*args, **kwargs):
     raise AssertionError("this path must not be taken")
 
 
-def break_triangle(matrix):
-    """On the sample ``{}|1, {}|a, {}|ab``: d(0, 2) = 10 > d(0, 1) + d(1, 2) = 4, both ways."""
-    matrix[0, 2] = matrix[2, 0] = 10
+def drop_a_row(columns):
+    """Drop the last row of the first column holding two or more."""
+    next(rows for rows in columns if len(rows) > 1).pop()
 
 
-def break_one_lower_entry(matrix):
-    matrix[2, 0] += 2
+def add_a_row(columns):
+    """Add to the first column the lowest row it does not hold."""
+    columns[0].append(min(set(range(len(columns[0]) + 1)).difference(columns[0])))
 
 
-def damage_distance_matrix(monkeypatch, damage):
-    """Make ``embedding.distance_matrix`` apply ``damage`` to each matrix it returns."""
-    from wreathwalls import embedding
+def damage_wall_columns(monkeypatch, damage):
+    """Make ``columns.wall_columns`` apply ``damage`` to each column list it returns."""
+    from wreathwalls import columns
 
-    original = embedding.distance_matrix
+    original = columns.wall_columns
 
-    def damaged(space, elements):
-        matrix = original(space, elements)
-        damage(matrix)
-        return matrix
+    def damaged(*args):
+        result = original(*args)
+        damage(result)
+        return result
 
-    monkeypatch.setattr(embedding, "distance_matrix", damaged)
+    monkeypatch.setattr(columns, "wall_columns", damaged)
 
 
 def assert_refused_within_five_seconds(argv):
@@ -454,12 +455,13 @@ class TestEmbedCommand:
         assert all(set(row) <= {"0", "1", ","} for row in coords)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
-    @pytest.mark.parametrize("damage", [break_triangle, break_one_lower_entry])
+    @pytest.mark.parametrize("damage", [drop_a_row, add_a_row], ids=["drop", "add"])
     def test_broken_distance_matrix_fails_the_isometry_check(
         self, capsys, tmp_path, monkeypatch, damage, fmt
     ):
-        # embed runs no separate validation: the Hamming identity is its check.
-        damage_distance_matrix(monkeypatch, damage)
+        # embed runs no separate validation: the Hamming identity of the distances it writes
+        # (read off wall_columns) and the coordinates it writes (off the walls) is its check.
+        damage_wall_columns(monkeypatch, damage)
         sample = tmp_path / "sample.txt"
         sample.write_text("{}|1\n{}|a\n{}|ab\n")
         argv = ("--format", fmt, "embed", "--sample", str(sample), "--out", str(tmp_path / "out"))
@@ -883,6 +885,7 @@ COMMAND_MODULES = {
     "proper": {"walls", "wreath_walls"},
     "growth": {"embedding", "walls", "wreath_walls"},
     "cnd": {"columns", "grammar"},
+    "embed": {"columns", "grammar", "walls", "wreath_walls"},
 }
 
 # Runs main(argv) in a fresh interpreter, then reports its exit code and whether numpy,
@@ -917,14 +920,17 @@ NUMPY_FREE = [
     ["--rank", "1", "proper", "--max-wall", "1"],
     ["growth", "--radius", "3"],
     ["cnd", "--sample", "SAMPLE"],
+    ["embed", "--sample", "SAMPLE", "--out", "OUT"],
 ]
 
 
 def with_sample(argv, tmp_path):
-    """``argv`` with ``SAMPLE`` replaced by a three-element sample file written in ``tmp_path``."""
+    """``argv`` with ``SAMPLE`` replaced by a three-element sample file written in ``tmp_path``
+    and ``OUT`` by a directory there."""
     sample = tmp_path / "sample.txt"
     sample.write_text("{}|1\n{}|a\n{a:1}|ab\n")
-    return [str(sample) if a == "SAMPLE" else a for a in argv]
+    paths = {"SAMPLE": str(sample), "OUT": str(tmp_path / "out")}
+    return [paths.get(a, a) for a in argv]
 
 
 def expected_probe(argv, json=False, modules=frozenset()):
@@ -984,7 +990,7 @@ for name in wreathwalls.__all__:
     assert getattr(wreathwalls, name) is namespace[name], name
 print(len(wreathwalls.__all__))
 """
-        assert self.run_child(code) == "33\n"
+        assert self.run_child(code) == "32\n"
 
     def test_unknown_attribute_raises(self):
         import wreathwalls

@@ -17,7 +17,6 @@ from wreathwalls import (
     cnd_check,
     distance_matrix,
     growth_table,
-    hamming_distances,
     validate_distance_matrix,
     validate_sample,
     wall_coordinates,
@@ -29,6 +28,7 @@ from wreathwalls.grammar import parse_element
 from support import (
     bfs_growth_rows,
     bivariate_growth_rows,
+    hamming_distances,
     pairwise_distance_matrix,
     random_element,
     s3,

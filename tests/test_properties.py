@@ -9,7 +9,8 @@ and with the brute-force search, ``separating_walls`` with the pairwise union of
 walls, ``wall_columns`` with their number (its matrix also with ``wall_distance`` and the
 eigenvalue check), the node-sum distance matrix with ``wall_distance`` pair by pair, and
 the wall coordinates with per-cell membership and, by Hamming distance, with the distance
-matrix.
+matrix. The packed ``hamming_rows`` of any 0/1 columns must equal their pairwise XOR counts,
+on both sides of its 2-byte field width, and ``coordinates_csv`` their membership table.
 A random element must lie in the generated sub-level set exactly when its
 wall distance to the identity is within the level. The
 brute-force search itself must equal a plain reference sweep, the wall
@@ -31,7 +32,7 @@ import itertools
 from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wreathwalls import (
@@ -46,7 +47,6 @@ from wreathwalls import (
     cnd_check,
     distance_matrix,
     free_ball,
-    hamming_distances,
     parse_config,
     parse_element,
     parse_lamp_table,
@@ -55,13 +55,14 @@ from wreathwalls import (
     separating_tree_walls,
     wall_coordinates,
 )
-from wreathwalls.columns import wall_columns
+from wreathwalls.columns import coordinates_csv, hamming_rows, row_fields, wall_columns
 from wreathwalls.wreath_walls import spanned_edge_series
 
 from support import (
     base_walls,
     bfs_spheres,
     format_lamp_table,
+    hamming_distances,
     pairwise_distance_matrix,
     s3,
     spell,
@@ -251,6 +252,50 @@ def test_hamming_of_coordinates_equals_distance_matrix(case):
     membership = [[int(wall.contains(x)) for wall in walls] for x in sample]
     assert coordinates.tolist() == membership
     assert np.array_equal(hamming_distances(coordinates), distance_matrix(space, sample))
+
+
+def xor_counts(columns: list[list[int]], n: int) -> list[list[int]]:
+    """Hamming distances of 0/1 columns over rows ``0..n-1``, one pair and one column at a time."""
+    return [
+        [sum((i in rows) != (j in rows) for rows in columns) for j in range(n)] for i in range(n)
+    ]
+
+
+def assert_hamming_rows(columns: list[list[int]], n: int) -> None:
+    rows = hamming_rows(columns, n)
+    width = 2 if 2 * len(columns) < 2**16 else 4
+    assert [len(row) for row in rows] == [n * width] * n
+    assert [row_fields(row, n).tolist() for row in rows] == xor_counts(columns, n)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 9), st.data())
+def test_hamming_rows_are_pairwise_xor_counts(n, data):
+    # From n = 1 and no columns up; a column may hold more than half the rows, or all of them.
+    column = st.lists(st.integers(0, n - 1), unique=True)
+    assert_hamming_rows(data.draw(st.lists(column, max_size=12)), n)
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(1, 9), st.data())
+def test_coordinates_csv_marks_each_row_of_each_column(n, data):
+    column = st.lists(st.integers(0, n - 1), unique=True)
+    columns = data.draw(st.lists(column, max_size=12))
+    rows = (",".join(str(int(i in rows)) for rows in columns) for i in range(n))
+    assert coordinates_csv(columns, n).decode() == "".join(f"{row}\n" for row in rows)
+
+
+@settings(deadline=None, max_examples=4)
+@given(
+    st.lists(st.lists(st.integers(0, 2), unique=True), min_size=1, max_size=3),
+    st.sampled_from([32767, 32768]),
+)
+@example([[0]], 32767)
+@example([[0]], 32768)
+def test_hamming_rows_widen_their_fields_at_32768_columns(columns, count):
+    # A few columns repeated on three rows: the fields widen to 4 bytes where twice the column
+    # count reaches 2**16, and [0] in every column sums row 0's field of total + s_0 * ones to it.
+    assert_hamming_rows([columns[k % len(columns)] for k in range(count)], 3)
 
 
 # Breadth-first balls of these radii take a fraction of a second for every lamp group.
